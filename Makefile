@@ -36,13 +36,11 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
 # The determinism-vs-parallelism proof: every digest pin and every
-# serial/parallel/lazy/eager/calendar-vs-heap/sharded-advance
-# equivalence gate (the *MatchesSerial pattern includes the pod-sharded
-# windowed advance, its randomized cross-pod scenario, and the fat-tree
-# cross-pod gate), plus the checkpoint-resume byte-identity and
-# study-digest gates, executed with a single scheduler thread. Together with the default-GOMAXPROCS test
-# job this shows the traces are independent of how much hardware ran
-# them.
+# serial/parallel/lazy/eager/calendar-vs-heap/serial-build equivalence
+# gate, plus the checkpoint-resume byte-identity and study-digest
+# gates, executed with a single scheduler thread. Together with the
+# default-GOMAXPROCS test job this shows the traces are independent of
+# how much hardware ran them.
 determinism-single-core:
 	GOMAXPROCS=1 $(GO) test -run 'TraceDigest|MatchesSerial|MatchesEager|MatchesFullSolver|BitwiseEquivalence|MatchesClassicHeap|CheckpointResume|StudyDigests' ./internal/scenario ./internal/netsim ./internal/sim
 
@@ -51,10 +49,9 @@ determinism-single-core:
 # run-phase wall series, the fleet-construction wall-time series, the
 # flush/solve phase-profile wall split, trace digests, the
 # classic-vs-calendar scheduler events/s series at 10k/100k/1M nodes,
-# the serial-vs-sharded advance series at the same scales, and the
-# synthesis-vs-Dijkstra routing series on the 100k fat-tree — digest
-# equality between arms asserted before the file is written — plus the
-# PR 1–PR 4 baselines). CI uploads it as an artifact.
+# and the synthesis-vs-Dijkstra routing series on the 100k fat-tree —
+# digest equality between arms asserted before the file is written).
+# CI uploads it as an artifact.
 bench-json:
 	$(GO) run ./cmd/piscale -bench-json BENCH_PR10.json
 

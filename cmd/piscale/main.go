@@ -15,7 +15,6 @@
 //	piscale -scenario rack-blackout -checkpoint-at 45s
 //	piscale -resume-from rack-blackout.ckpt.json
 //	piscale -study bisect-blackout
-//	piscale -scenario megafleet-100000 -sharded-advance -shard-workers 4
 //	piscale -scenario megafleet-fattree-100000 -no-route-synth
 //	piscale -bench-json BENCH_PR10.json
 package main
@@ -190,8 +189,7 @@ type benchEntry struct {
 	SolveSeconds float64 `json:"solve_s,omitempty"`
 	// MaxRSSBytes is the process's peak resident set size (getrusage
 	// ru_maxrss) sampled as this arm finished. Peak RSS is monotone
-	// over the process, so each row is the high-water mark so far —
-	// the series the PR 9 sharded advance must not regress.
+	// over the process, so each row is the high-water mark so far.
 	MaxRSSBytes uint64 `json:"max_rss_bytes,omitempty"`
 	// RouteSynthHits/DijkstraFallbacks split cold-route work between
 	// the structured synthesis and the full Dijkstra — the PR 10
@@ -199,51 +197,6 @@ type benchEntry struct {
 	// fallbacks (asserted before the artifact is written).
 	RouteSynthHits    uint64 `json:"route_synth_hits,omitempty"`
 	DijkstraFallbacks uint64 `json:"dijkstra_fallbacks,omitempty"`
-}
-
-// pr1Baseline records the PR 1 numbers for the scenarios that existed
-// then. Keeping earlier baselines in the emitted JSON makes every
-// BENCH_PR<N>.json self-contained: the improvement claim travels with
-// the data.
-var pr1Baseline = map[string]benchEntry{
-	"megafleet-1000": {Name: "megafleet-1000", Nodes: 1040, NsPerOp: 2714070664, EventsPerS: 3204, SimPerWall: 71.42},
-	"flash-crowd":    {Name: "flash-crowd", Nodes: 200, NsPerOp: 713221764, EventsPerS: 18173, SimPerWall: 426.7},
-}
-
-// pr2Baseline is BENCH_PR2.json's recorded trajectory. Note ns_per_op
-// there is the run phase only — PR 2 measured wall time inside Execute,
-// after construction — so it is comparable to this file's ns_per_op but
-// NOT to build_s: no construction series existed before PR 3. Before
-// the fleet builder, megafleet construction ran one node at a time
-// through Sscanf parsing, eager per-node HTTP muxes and JSON status
-// polling per placement (~10.4 s for megafleet-10000 on the PR 3
-// reference machine, vs the build_s this file records).
-var pr2Baseline = map[string]benchEntry{
-	"brownout-fabric": {Name: "brownout-fabric", Nodes: 56, NsPerOp: 26216472, EventsPerS: 238590, SimPerWall: 11443.2},
-	"diurnal-day":     {Name: "diurnal-day", Nodes: 56, NsPerOp: 9344399, EventsPerS: 271821, SimPerWall: 64209.6},
-	"flash-crowd":     {Name: "flash-crowd", Nodes: 200, NsPerOp: 111724842, EventsPerS: 114361, SimPerWall: 2685.2},
-	"megafleet-1000":  {Name: "megafleet-1000", Nodes: 1040, NsPerOp: 68087063, EventsPerS: 79061, SimPerWall: 1762.4},
-	"megafleet-10000": {Name: "megafleet-10000", Nodes: 10000, NsPerOp: 345515660, EventsPerS: 14856, SimPerWall: 173.7},
-	"migration-storm": {Name: "migration-storm", Nodes: 56, NsPerOp: 5631652, EventsPerS: 166736, SimPerWall: 53270.3},
-	"node-churn":      {Name: "node-churn", Nodes: 56, NsPerOp: 5666202, EventsPerS: 415622, SimPerWall: 52945.5},
-	"rack-blackout":   {Name: "rack-blackout", Nodes: 56, NsPerOp: 8412538, EventsPerS: 337354, SimPerWall: 35661.1},
-}
-
-// pr3Baseline is BENCH_PR3.json's recorded trajectory: the parallel
-// fleet builder's numbers, before the PR 4 run-phase kernel (lazy flow
-// accounting, parallel domain solving, hierarchical telemetry,
-// structured route synthesis). ns_per_op and events_per_s measure the
-// run phase; build_s the construction phase.
-var pr3Baseline = map[string]benchEntry{
-	"brownout-fabric":  {Name: "brownout-fabric", Nodes: 56, NsPerOp: 20582778, BuildSeconds: 0.0013, EventsPerS: 303895, SimPerWall: 14575.3},
-	"diurnal-day":      {Name: "diurnal-day", Nodes: 56, NsPerOp: 7797693, BuildSeconds: 0.0015, EventsPerS: 325737, SimPerWall: 76945.8},
-	"flash-crowd":      {Name: "flash-crowd", Nodes: 200, NsPerOp: 106647457, BuildSeconds: 0.0015, EventsPerS: 119806, SimPerWall: 2813.0},
-	"megafleet-1000":   {Name: "megafleet-1000", Nodes: 1040, NsPerOp: 57730180, BuildSeconds: 0.0148, EventsPerS: 93244, SimPerWall: 2078.6},
-	"megafleet-10000":  {Name: "megafleet-10000", Nodes: 10000, NsPerOp: 328762373, BuildSeconds: 0.1450, EventsPerS: 15613, SimPerWall: 182.5},
-	"megafleet-100000": {Name: "megafleet-100000", Nodes: 100000, NsPerOp: 2132795391, BuildSeconds: 2.1306, EventsPerS: 746, SimPerWall: 14.1},
-	"migration-storm":  {Name: "migration-storm", Nodes: 56, NsPerOp: 3535367, BuildSeconds: 0.0017, EventsPerS: 265602, SimPerWall: 84856.8},
-	"node-churn":       {Name: "node-churn", Nodes: 56, NsPerOp: 5029564, BuildSeconds: 0.0011, EventsPerS: 468231, SimPerWall: 59647.3},
-	"rack-blackout":    {Name: "rack-blackout", Nodes: 56, NsPerOp: 6347473, BuildSeconds: 0.0012, EventsPerS: 447107, SimPerWall: 47262.9},
 }
 
 // schedulerSeriesScenarios are the megafleets the classic-vs-calendar
@@ -257,14 +210,6 @@ type schedEntry struct {
 	Scheduler string `json:"scheduler"`
 }
 
-// advEntry is one arm of the serial-vs-sharded advance series.
-type advEntry struct {
-	benchEntry
-	// Advance is "serial" (single-loop engine) or "sharded(KxW)" for K
-	// pod shards staged by W workers.
-	Advance string `json:"advance"`
-}
-
 // routeSynthSeriesScenarios is where cold-route cost is the dominant
 // run-phase term: the k=74 fat-tree, whose gravity mix makes almost
 // every cold pair cross-pod.
@@ -274,60 +219,41 @@ var routeSynthSeriesScenarios = []string{"megafleet-fattree-100000"}
 type routeEntry struct {
 	benchEntry
 	// Routes is "synth" (the default: structured synthesis with
-	// Dijkstra fallback), "dijkstra-only" (the -no-route-synth
-	// ablation), or "synth+sharded(W workers)".
+	// Dijkstra fallback) or "dijkstra-only" (the -no-route-synth
+	// ablation).
 	Routes string `json:"routes"`
 }
 
 // runBenchJSON executes every canned scenario once (the calendar
 // scheduler is the default), reruns the megafleets on the classic heap
-// for the scheduler events/s series and under the pod-sharded advance
-// for the serial-vs-sharded series, reruns the 100k fat-tree with
-// route synthesis ablated (and sharded) for the synthesis-vs-Dijkstra
-// series, and writes the whole trajectory —
-// plus the PR 1–PR 3 baselines; the classic arm doubles as the PR 4
-// kernel baseline, since the scheduler is the only run-phase change —
-// to path. The emitted series also records each arm's trace digest, so
-// the artifact itself witnesses that both schedulers produced identical
-// runs. Every arm runs with the network kernel's phase profiler on, so
-// each row splits its run wall time into flush_s/solve_s.
+// for the scheduler events/s series, reruns the 100k fat-tree with
+// route synthesis ablated for the synthesis-vs-Dijkstra series, and
+// writes the whole trajectory to path. The emitted series also records
+// each arm's trace digest, so the artifact itself witnesses that every
+// arm produced an identical run. Every arm runs with the network
+// kernel's phase profiler on, so each row splits its run wall time
+// into flush_s/solve_s.
 func runBenchJSON(path string) error {
 	type trajectory struct {
-		GeneratedBy string                `json:"generated_by"`
-		GoVersion   string                `json:"go_version"`
-		GoosGoarch  string                `json:"goos_goarch"`
-		BaselinePR1 map[string]benchEntry `json:"baseline_pr1"`
-		BaselinePR2 map[string]benchEntry `json:"baseline_pr2"`
-		BaselinePR3 map[string]benchEntry `json:"baseline_pr3"`
-		// BaselinePR4 is the classic-heap (PR 4 kernel) rerun of the
-		// megafleets, recorded in the same run on the same machine.
-		BaselinePR4 map[string]benchEntry `json:"baseline_pr4"`
-		Scenarios   []benchEntry          `json:"scenarios"`
+		GeneratedBy string       `json:"generated_by"`
+		GoVersion   string       `json:"go_version"`
+		GoosGoarch  string       `json:"goos_goarch"`
+		Scenarios   []benchEntry `json:"scenarios"`
 		// SchedulerSeries is the classic-vs-calendar events/s comparison
 		// at 10k/100k/1M nodes.
 		SchedulerSeries []schedEntry `json:"scheduler_series"`
-		// AdvanceSeries is the serial-vs-sharded advance events/s
-		// comparison at the same scales; both arms' trace digests are
-		// asserted identical before the artifact is written, so the
-		// file itself witnesses the equivalence claim.
-		AdvanceSeries []advEntry `json:"advance_series"`
 		// RouteSynthSeries is the synthesis-vs-Dijkstra comparison on
 		// the 100k-node fat-tree: the default arm (which must finish
-		// with zero fallbacks), the -no-route-synth ablation (every
-		// cold route pays the full Dijkstra), and the pod-sharded
-		// rerun. All three digests are asserted identical, and the
-		// synth arm is asserted faster than the ablation, before the
-		// artifact is written.
+		// with zero fallbacks) and the -no-route-synth ablation (every
+		// cold route pays the full Dijkstra). Both digests are asserted
+		// identical, and the synth arm is asserted faster than the
+		// ablation, before the artifact is written.
 		RouteSynthSeries []routeEntry `json:"route_synth_series"`
 	}
 	out := trajectory{
 		GeneratedBy: "piscale -bench-json",
 		GoVersion:   runtime.Version(),
 		GoosGoarch:  runtime.GOOS + "/" + runtime.GOARCH,
-		BaselinePR1: pr1Baseline,
-		BaselinePR2: pr2Baseline,
-		BaselinePR3: pr3Baseline,
-		BaselinePR4: map[string]benchEntry{},
 	}
 	execute := func(spec scenario.Spec) (benchEntry, error) {
 		r, err := scenario.New(spec)
@@ -383,7 +309,7 @@ func runBenchJSON(path string) error {
 		if err != nil {
 			return err
 		}
-		spec.Cloud.ClassicHeap = true
+		spec.Cloud.Kernel.ClassicHeap = true
 		classic, err := execute(spec)
 		if err != nil {
 			return err
@@ -396,33 +322,8 @@ func runBenchJSON(path string) error {
 		out.SchedulerSeries = append(out.SchedulerSeries,
 			schedEntry{benchEntry: cal, Scheduler: "calendar"},
 			schedEntry{benchEntry: classic, Scheduler: "classic-heap"})
-		out.BaselinePR4[n] = classic
 		fmt.Printf("%-18s classic-heap rerun: %8.0f events/s (calendar %8.0f), digests identical\n",
 			n, classic.EventsPerS, cal.EventsPerS)
-	}
-	for _, n := range schedulerSeriesScenarios {
-		spec, err := scenario.Catalog(n)
-		if err != nil {
-			return err
-		}
-		// Auto shard/worker counts: one shard per rack group up to
-		// GOMAXPROCS, staged by up to GOMAXPROCS workers. The serial arm
-		// is the calendar run already recorded above.
-		spec.Cloud.Kernel.ShardedAdvance = true
-		sharded, err := execute(spec)
-		if err != nil {
-			return err
-		}
-		cal := calendar[n]
-		if sharded.TraceDigest != cal.TraceDigest {
-			return fmt.Errorf("scenario %s: sharded-advance trace digest %s differs from serial %s",
-				n, sharded.TraceDigest, cal.TraceDigest)
-		}
-		out.AdvanceSeries = append(out.AdvanceSeries,
-			advEntry{benchEntry: cal, Advance: "serial"},
-			advEntry{benchEntry: sharded, Advance: fmt.Sprintf("sharded(%d workers)", runtime.GOMAXPROCS(0))})
-		fmt.Printf("%-18s sharded rerun: %8.0f events/s (serial %8.0f), digests identical\n",
-			n, sharded.EventsPerS, cal.EventsPerS)
 	}
 	for _, n := range routeSynthSeriesScenarios {
 		cal := calendar[n]
@@ -456,26 +357,11 @@ func runBenchJSON(path string) error {
 			return fmt.Errorf("scenario %s: dijkstra-only arm (%0.f events/s) not slower than synthesis (%0.f events/s) — the optimisation claim failed",
 				n, ablated.EventsPerS, cal.EventsPerS)
 		}
-		spec, err = scenario.Catalog(n)
-		if err != nil {
-			return err
-		}
-		spec.Cloud.Kernel.ShardedAdvance = true
-		spec.Cloud.Kernel.ShardWorkers = 4
-		sharded, err := execute(spec)
-		if err != nil {
-			return err
-		}
-		if sharded.TraceDigest != cal.TraceDigest {
-			return fmt.Errorf("scenario %s: sharded trace digest %s differs from serial %s",
-				n, sharded.TraceDigest, cal.TraceDigest)
-		}
 		out.RouteSynthSeries = append(out.RouteSynthSeries,
 			routeEntry{benchEntry: cal, Routes: "synth"},
-			routeEntry{benchEntry: ablated, Routes: "dijkstra-only"},
-			routeEntry{benchEntry: sharded, Routes: "synth+sharded(4 workers)"})
-		fmt.Printf("%-18s routes: synth %8.0f events/s (0 fallbacks), dijkstra-only %8.0f, sharded %8.0f — digests identical\n",
-			n, cal.EventsPerS, ablated.EventsPerS, sharded.EventsPerS)
+			routeEntry{benchEntry: ablated, Routes: "dijkstra-only"})
+		fmt.Printf("%-18s routes: synth %8.0f events/s (0 fallbacks), dijkstra-only %8.0f — digests identical\n",
+			n, cal.EventsPerS, ablated.EventsPerS)
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -485,13 +371,13 @@ func runBenchJSON(path string) error {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d scenarios, %d scheduler-series arms, %d advance-series arms, %d route-series arms)\n",
-		path, len(out.Scenarios), len(out.SchedulerSeries), len(out.AdvanceSeries), len(out.RouteSynthSeries))
+	fmt.Printf("wrote %s (%d scenarios, %d scheduler-series arms, %d route-series arms)\n",
+		path, len(out.Scenarios), len(out.SchedulerSeries), len(out.RouteSynthSeries))
 	return nil
 }
 
-// kernelModeLine renders the run header's scheduler/solver/advance
-// summary.
+// kernelModeLine renders the run header's scheduler/solver/advance/
+// routing summary.
 func kernelModeLine(c cliconfig.Common) string {
 	scheduler := "calendar"
 	if c.ClassicHeap {
@@ -508,22 +394,11 @@ func kernelModeLine(c cliconfig.Common) string {
 	if c.EagerAdvance {
 		advance = "eager"
 	}
-	run := "single-loop"
-	if c.ShardedAdvance || c.ShardWorkers > 0 || c.Shards > 0 {
-		shards, workers := "auto", "auto"
-		if c.Shards > 0 {
-			shards = fmt.Sprintf("%d", c.Shards)
-		}
-		if c.ShardWorkers > 0 {
-			workers = fmt.Sprintf("%d", c.ShardWorkers)
-		}
-		run = fmt.Sprintf("sharded(shards=%s workers=%s)", shards, workers)
-	}
 	routes := "synth+dijkstra"
 	if c.NoRouteSynth {
 		routes = "dijkstra-only"
 	}
-	return fmt.Sprintf("run-phase kernel: scheduler=%s solver=%s advance=%s run=%s routes=%s", scheduler, solver, advance, run, routes)
+	return fmt.Sprintf("run-phase kernel: scheduler=%s solver=%s advance=%s routes=%s", scheduler, solver, advance, routes)
 }
 
 // specFor resolves a catalog scenario with the command-line overrides
@@ -643,15 +518,6 @@ func resume(path string, o runOpts) error {
 	if o.common.SolveWorkers > 0 {
 		req.SolveWorkers = o.common.SolveWorkers
 	}
-	if o.common.ShardedAdvance || o.common.ShardWorkers > 0 || o.common.Shards > 0 {
-		req.ShardedAdvance = true
-	}
-	if o.common.ShardWorkers > 0 {
-		req.ShardWorkers = o.common.ShardWorkers
-	}
-	if o.common.Shards > 0 {
-		req.Shards = o.common.Shards
-	}
 	spec, err := req.Resolve()
 	if err != nil {
 		return err
@@ -660,8 +526,6 @@ func resume(path string, o runOpts) error {
 		spec.Name, path, p.At, kernelModeLine(cliconfig.Common{
 			ClassicHeap: req.ClassicHeap, SerialSolve: req.SerialSolve,
 			EagerAdvance: req.EagerAdvance, SolveWorkers: req.SolveWorkers,
-			ShardedAdvance: req.ShardedAdvance, ShardWorkers: req.ShardWorkers,
-			Shards: req.Shards,
 		}))
 	r, err := scenario.New(spec)
 	if err != nil {

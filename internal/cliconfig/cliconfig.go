@@ -37,11 +37,6 @@ type Common struct {
 	SerialSolve  bool
 	EagerAdvance bool
 	ClassicHeap  bool
-
-	ShardedAdvance bool
-	ShardWorkers   int
-	Shards         int
-
 	NoRouteSynth bool
 }
 
@@ -58,25 +53,16 @@ func (c *Common) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.SerialSolve, "serial-solve", c.SerialSolve, "solve dirty congestion domains serially on the engine goroutine")
 	fs.BoolVar(&c.EagerAdvance, "eager-advance", c.EagerAdvance, "restore the whole-fleet flow accounting sweep at every instant (seed kernel cost model)")
 	fs.BoolVar(&c.ClassicHeap, "classic-heap", c.ClassicHeap, "restore the seed binary event heap in place of the calendar scheduler")
-	fs.BoolVar(&c.ShardedAdvance, "sharded-advance", c.ShardedAdvance, "advance the run phase in pod-sharded conservative windows (traces stay byte-identical)")
-	fs.IntVar(&c.ShardWorkers, "shard-workers", c.ShardWorkers, "stage-phase worker pool for the sharded advance (0 = one per core, min 2; implies -sharded-advance when >0)")
-	fs.IntVar(&c.Shards, "shards", c.Shards, "pod-shard count for the sharded advance (0 = one per core capped at racks; implies -sharded-advance when >0)")
 	fs.BoolVar(&c.NoRouteSynth, "no-route-synth", c.NoRouteSynth, "disable structured route synthesis: every route-cache miss runs the full Dijkstra (ablation; traces stay byte-identical)")
 }
 
 // Kernel renders the kernel-mode knobs as the unified options struct.
-// Setting an explicit shard or shard-worker count implies the sharded
-// advance itself, so `-shard-workers 4` alone does what it reads as.
 func (c Common) Kernel() core.KernelOptions {
 	return core.KernelOptions{
-		ClassicHeap:    c.ClassicHeap,
-		EagerAdvance:   c.EagerAdvance,
-		SerialSolve:    c.SerialSolve,
-		SolveWorkers:   c.SolveWorkers,
-		ShardedAdvance: c.ShardedAdvance || c.ShardWorkers > 0 || c.Shards > 0,
-		ShardWorkers:   c.ShardWorkers,
-		Shards:         c.Shards,
-
+		ClassicHeap:           c.ClassicHeap,
+		EagerAdvance:          c.EagerAdvance,
+		SerialSolve:           c.SerialSolve,
+		SolveWorkers:          c.SolveWorkers,
 		DisableRouteSynthesis: c.NoRouteSynth,
 	}
 }
@@ -95,10 +81,6 @@ func (c Common) SpecRequest(scenarioName string) SpecRequest {
 		SerialSolve:  c.SerialSolve,
 		EagerAdvance: c.EagerAdvance,
 		ClassicHeap:  c.ClassicHeap,
-
-		ShardedAdvance: c.ShardedAdvance,
-		ShardWorkers:   c.ShardWorkers,
-		Shards:         c.Shards,
 
 		DisableRouteSynthesis: c.NoRouteSynth,
 	}
@@ -173,10 +155,6 @@ type SpecRequest struct {
 	EagerAdvance bool     `json:"eager_advance,omitempty"`
 	ClassicHeap  bool     `json:"classic_heap,omitempty"`
 
-	ShardedAdvance bool `json:"sharded_advance,omitempty"`
-	ShardWorkers   int  `json:"shard_workers,omitempty"`
-	Shards         int  `json:"shards,omitempty"`
-
 	DisableRouteSynthesis bool `json:"disable_route_synthesis,omitempty"`
 }
 
@@ -210,14 +188,10 @@ func (r SpecRequest) Resolve() (scenario.Spec, error) {
 		spec.SampleEvery = time.Duration(r.Sample)
 	}
 	spec.Cloud.Kernel = spec.Cloud.Kernel.Union(core.KernelOptions{
-		ClassicHeap:    r.ClassicHeap,
-		EagerAdvance:   r.EagerAdvance,
-		SerialSolve:    r.SerialSolve,
-		SolveWorkers:   r.SolveWorkers,
-		ShardedAdvance: r.ShardedAdvance || r.ShardWorkers > 0 || r.Shards > 0,
-		ShardWorkers:   r.ShardWorkers,
-		Shards:         r.Shards,
-
+		ClassicHeap:           r.ClassicHeap,
+		EagerAdvance:          r.EagerAdvance,
+		SerialSolve:           r.SerialSolve,
+		SolveWorkers:          r.SolveWorkers,
 		DisableRouteSynthesis: r.DisableRouteSynthesis,
 	})
 	return spec, nil

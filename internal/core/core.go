@@ -42,8 +42,8 @@ type Config = fleet.Config
 
 // KernelOptions is the unified kernel ablation surface (see
 // fleet.KernelOptions). Set Config.Kernel to choose scheduler, flow
-// solver, and builder variants atomically at construction or resume;
-// the scattered per-layer setters remain as deprecated shims.
+// solver, routing and builder variants atomically at construction or
+// resume.
 type KernelOptions = fleet.KernelOptions
 
 // Node bundles everything attached to one Pi.

@@ -70,12 +70,8 @@ const (
 // Every option is byte-identical to the defaults by construction — the
 // determinism gates prove it on every build — so the zero value is the
 // production kernel and every combination is safe to flip for ablation
-// benchmarks, differential tests, or as an escape hatch.
-//
-// The scattered per-layer setters (sim.Engine.SetClassicHeap,
-// netsim's SetEagerAdvance/SetSerialSolve/SetSolveWorkers/
-// SetFullRecompute) survive as thin deprecated shims; new code sets
-// Config.Kernel instead.
+// benchmarks, differential tests, or as an escape hatch. Config.Kernel
+// is the only way these knobs reach a cloud.
 type KernelOptions struct {
 	// ClassicHeap restores the seed engine's single binary event heap
 	// in place of the default two-level calendar scheduler
@@ -100,22 +96,6 @@ type KernelOptions struct {
 	// sharded build is byte-identical by construction
 	// (TestShardedBuildMatchesSerial).
 	SerialBuild bool
-	// ShardedAdvance enables the pod-sharded conservative-parallel run
-	// phase: the fleet is partitioned by rack group into shards, each
-	// with its own calendar scheduler, and the engine advances in
-	// conservative windows sized by the minimum link latency, staging
-	// shard queues on a worker pool. Execution order stays the exact
-	// serial (time, seq) total order, so traces are byte-identical
-	// either way (TestShardedAdvanceMatchesSerial).
-	ShardedAdvance bool
-	// ShardWorkers bounds the stage-phase worker pool when
-	// ShardedAdvance is on: 0 auto-sizes one per core (at least two, so
-	// the parallel path is exercised even on single-core machines),
-	// capped at the shard count.
-	ShardWorkers int
-	// Shards is the pod-shard count when ShardedAdvance is on: 0
-	// auto-sizes one per core (at least two), capped at the rack count.
-	Shards int
 	// DisableRouteSynthesis turns off the SDN controller's structured
 	// route synthesis, forcing every route-cache miss through the full
 	// Dijkstra (see sdn.Config.DisableRouteSynthesis). The synthesis is
@@ -127,8 +107,7 @@ type KernelOptions struct {
 
 // Union folds another option set into this one: booleans OR (a knob
 // flipped on either surface stays on) and the explicit worker count
-// wins over auto. It is how the deprecated flat Config fields merge
-// into Config.Kernel, and how command-line or API overrides land on a
+// wins over auto. It is how command-line or API overrides land on a
 // catalog scenario's options.
 func (k KernelOptions) Union(o KernelOptions) KernelOptions {
 	k.ClassicHeap = k.ClassicHeap || o.ClassicHeap
@@ -136,16 +115,9 @@ func (k KernelOptions) Union(o KernelOptions) KernelOptions {
 	k.SerialSolve = k.SerialSolve || o.SerialSolve
 	k.FullRecompute = k.FullRecompute || o.FullRecompute
 	k.SerialBuild = k.SerialBuild || o.SerialBuild
-	k.ShardedAdvance = k.ShardedAdvance || o.ShardedAdvance
 	k.DisableRouteSynthesis = k.DisableRouteSynthesis || o.DisableRouteSynthesis
 	if k.SolveWorkers == 0 {
 		k.SolveWorkers = o.SolveWorkers
-	}
-	if k.ShardWorkers == 0 {
-		k.ShardWorkers = o.ShardWorkers
-	}
-	if k.Shards == 0 {
-		k.Shards = o.Shards
 	}
 	return k
 }
@@ -204,35 +176,8 @@ type Config struct {
 	// MigrationConfig tunes pre-copy.
 	MigrationConfig migration.Config
 	// Kernel collects every ablation and escape-hatch knob, applied
-	// atomically at construction/resume. The flat fields below are the
-	// deprecated pre-KernelOptions spellings; FillDefaults unions them
-	// into Kernel (and mirrors the result back) so both surfaces stay
-	// coherent.
+	// atomically at construction/resume.
 	Kernel KernelOptions
-
-	// SerialBuild forces single-goroutine construction.
-	//
-	// Deprecated: set Kernel.SerialBuild.
-	SerialBuild bool
-	// SerialSolve forces the run phase's congestion-domain solver onto
-	// the engine goroutine.
-	//
-	// Deprecated: set Kernel.SerialSolve.
-	SerialSolve bool
-	// SolveWorkers sizes the parallel solve pool.
-	//
-	// Deprecated: set Kernel.SolveWorkers.
-	SolveWorkers int
-	// EagerAdvance restores the seed kernel's whole-fleet flow
-	// accounting sweep at every time-advancing mutation.
-	//
-	// Deprecated: set Kernel.EagerAdvance.
-	EagerAdvance bool
-	// ClassicHeap restores the seed engine's single binary event heap
-	// in place of the default two-level calendar scheduler.
-	//
-	// Deprecated: set Kernel.ClassicHeap.
-	ClassicHeap bool
 }
 
 // FillDefaults resolves the zero-value fields to the published PiCloud.
@@ -258,21 +203,6 @@ func (c *Config) FillDefaults() {
 	if c.RoutingPolicy == 0 {
 		c.RoutingPolicy = sdn.PolicyECMP
 	}
-	// Union the deprecated flat knobs into the kernel-options struct and
-	// mirror the merged result back, so code reading either surface sees
-	// the same (fully resolved) mode.
-	c.Kernel = c.Kernel.Union(KernelOptions{
-		ClassicHeap:  c.ClassicHeap,
-		EagerAdvance: c.EagerAdvance,
-		SerialSolve:  c.SerialSolve,
-		SolveWorkers: c.SolveWorkers,
-		SerialBuild:  c.SerialBuild,
-	})
-	c.ClassicHeap = c.Kernel.ClassicHeap
-	c.EagerAdvance = c.Kernel.EagerAdvance
-	c.SerialSolve = c.Kernel.SerialSolve
-	c.SolveWorkers = c.Kernel.SolveWorkers
-	c.SerialBuild = c.Kernel.SerialBuild
 }
 
 // Validate rejects shapes the addressing plan cannot carry. Catching
@@ -434,7 +364,6 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	if len(plan.hosts) != len(topo.Hosts) {
 		return nil, fmt.Errorf("fleet: plan holds %d hosts, fabric wired %d", len(plan.hosts), len(topo.Hosts))
 	}
-	applySharding(engine, net, cfg, plan)
 
 	sdnCfg := sdn.DefaultConfig()
 	sdnCfg.DisableRouteSynthesis = cfg.Kernel.DisableRouteSynthesis
@@ -505,73 +434,6 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 		return nil, err
 	}
 	return r, nil
-}
-
-// applySharding enables the engine's pod-sharded advance when the
-// kernel options ask for it: racks are grouped into contiguous pod
-// shards, each host mapped to its rack's shard, the conservative
-// lookahead derived from the fabric's minimum link latency, and flow
-// completions tagged with their source pod via the network's shard
-// map. Sits after topology build (the rack layout and link latencies
-// must exist) and runs on cold boots, warm boots and resume alike —
-// assemble is the single construction path.
-func applySharding(engine *sim.Engine, net *netsim.Network, cfg Config, plan *Plan) {
-	if !cfg.Kernel.ShardedAdvance {
-		return
-	}
-	racks := len(plan.rackSpans)
-	k := cfg.Kernel.Shards
-	if k <= 0 {
-		// Auto: one shard per core, at least two — mirroring the build
-		// pool's policy so the windowed path (and its determinism) is
-		// exercised even on single-core machines.
-		k = runtime.GOMAXPROCS(0)
-		if k < 2 {
-			k = 2
-		}
-	}
-	if k > racks {
-		k = racks
-	}
-	if k <= 1 {
-		// Nothing to partition (single-rack fleet): the single-loop
-		// engine already is the 1-shard advance.
-		return
-	}
-	w := cfg.Kernel.ShardWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w < 2 {
-			w = 2
-		}
-	}
-	if w > k {
-		w = k
-	}
-	// Contiguous rack → shard grouping: rack r belongs to shard
-	// r·k/racks, so pods are whole rack runs and every host inherits
-	// its rack's shard. Switches and other non-host identities stay on
-	// the global queue. On a fat-tree fabric racks ARE the fat-tree
-	// pods (topology.BuildFatTree's rack groups), so a shard boundary
-	// never splits a pod: each engine shard owns whole fat-tree pods
-	// and the cross-shard traffic is exactly the cross-pod (core-tier)
-	// traffic (TestFatTreePodShardAlignment pins this).
-	shardOf := make(map[netsim.NodeID]int, len(plan.hosts))
-	for i := range plan.hosts {
-		hp := &plan.hosts[i]
-		shardOf[netsim.NodeID(hp.name)] = hp.rack * k / racks
-	}
-	engine.SetSharded(sim.ShardConfig{
-		Shards:    k,
-		Workers:   w,
-		Lookahead: net.MinLinkLatency(),
-	})
-	net.SetShardMap(func(id netsim.NodeID) int {
-		if sh, ok := shardOf[id]; ok {
-			return sh
-		}
-		return sim.GlobalShard
-	})
 }
 
 // stampAll builds every node from the template. Shards are contiguous

@@ -223,7 +223,7 @@ func TestSerialAndShardedProduceSameRegistry(t *testing.T) {
 		t.Run(fabric.String(), func(t *testing.T) {
 			cfg := Config{Racks: 4, HostsPerRack: 4, Seed: 3, Fabric: fabric}
 			serialCfg := cfg
-			serialCfg.SerialBuild = true
+			serialCfg.Kernel.SerialBuild = true
 			serial := assembleFleet(t, serialCfg)
 			sharded := assembleFleet(t, cfg)
 			if len(serial.Nodes) != len(sharded.Nodes) {
@@ -257,25 +257,18 @@ func TestSerialAndShardedProduceSameRegistry(t *testing.T) {
 // TestFatTreePodShardAlignment pins the pod → rack-group mapping the
 // fat-tree megafleet scenarios rely on: topology racks ARE fat-tree
 // pods, the construction plan assigns every host the rack index of its
-// pod, and the sharded advance's contiguous rack → shard grouping
-// therefore never splits a pod across engine shards — cross-shard
-// traffic is exactly the cross-pod (core-tier) traffic.
+// pod, and the parallel build's rack shards therefore never split a
+// pod across workers.
 func TestFatTreePodShardAlignment(t *testing.T) {
 	cfg := Config{
 		Racks: 8, HostsPerRack: 16,
 		Fabric: topology.FabricFatTree, FatTreeK: 8,
-		Kernel: KernelOptions{ShardedAdvance: true, Shards: 4, ShardWorkers: 2},
 	}
 	r := assembleFleet(t, cfg)
-	if !r.Engine.Sharded() {
-		t.Fatal("sharded advance requested but the engine is not sharded")
-	}
 	if got := len(r.Topo.Racks); got != cfg.FatTreeK {
 		t.Fatalf("fat-tree topology has %d racks, want one per pod (k=%d)", got, cfg.FatTreeK)
 	}
-	racks := len(r.plan.rackSpans)
-	shards := cfg.Kernel.Shards
-	podShard := map[int]int{}
+	pods := map[int]bool{}
 	for i := range r.plan.hosts {
 		hp := &r.plan.hosts[i]
 		pod, ok := r.Topo.HostRack[netsim.NodeID(hp.name)]
@@ -285,13 +278,21 @@ func TestFatTreePodShardAlignment(t *testing.T) {
 		if hp.rack != pod {
 			t.Fatalf("host %s planned into rack %d but wired into pod %d", hp.name, hp.rack, pod)
 		}
-		shard := hp.rack * shards / racks // applySharding's grouping
-		if prev, seen := podShard[pod]; seen && prev != shard {
-			t.Fatalf("pod %d split across shards %d and %d", pod, prev, shard)
-		}
-		podShard[pod] = shard
+		pods[pod] = true
 	}
-	if len(podShard) != cfg.FatTreeK {
-		t.Fatalf("hosts cover %d pods, want %d", len(podShard), cfg.FatTreeK)
+	if len(pods) != cfg.FatTreeK {
+		t.Fatalf("hosts cover %d pods, want %d", len(pods), cfg.FatTreeK)
+	}
+	for _, workers := range []int{2, 3, 4} {
+		podShard := map[int]int{}
+		for s, span := range rackShards(r.plan, workers) {
+			for i := span[0]; i < span[1]; i++ {
+				pod := r.plan.hosts[i].rack
+				if prev, seen := podShard[pod]; seen && prev != s {
+					t.Fatalf("workers=%d: pod %d split across build shards %d and %d", workers, pod, prev, s)
+				}
+				podShard[pod] = s
+			}
+		}
 	}
 }

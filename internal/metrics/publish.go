@@ -12,39 +12,6 @@ import (
 	"repro/internal/obs"
 )
 
-// RegisterCounter files an existing counter under name, making a
-// struct-embedded instrument reachable through the registry (and so
-// through Publish). A later Counter(name) returns the same instrument;
-// registering over an existing name replaces the entry.
-func (r *Registry) RegisterCounter(name string, c *Counter) {
-	r.mu.Lock()
-	r.counters[name] = c
-	r.mu.Unlock()
-}
-
-// RegisterGauge files an existing gauge under name (see RegisterCounter).
-func (r *Registry) RegisterGauge(name string, g *Gauge) {
-	r.mu.Lock()
-	r.gauges[name] = g
-	r.mu.Unlock()
-}
-
-// RegisterHistogram files an existing histogram under name (see
-// RegisterCounter).
-func (r *Registry) RegisterHistogram(name string, h *Histogram) {
-	r.mu.Lock()
-	r.hists[name] = h
-	r.mu.Unlock()
-}
-
-// RegisterSeries files an existing time series under name (see
-// RegisterCounter).
-func (r *Registry) RegisterSeries(name string, ts *TimeSeries) {
-	r.mu.Lock()
-	r.series[name] = ts
-	r.mu.Unlock()
-}
-
 // Publish registers every instrument in r into the observability
 // registry o as a read-time collector. Counters export under
 // prefix+name as Prometheus counters, gauges as gauges; histograms

@@ -6,49 +6,10 @@ import (
 	"repro/internal/obs"
 )
 
-// TestRegisterSharesInstrument pins the shim contract: a struct-embedded
-// instrument filed with Register* IS the registry's instrument — both
-// paths observe into the same storage.
-func TestRegisterSharesInstrument(t *testing.T) {
-	reg := NewRegistry()
-	var h Histogram
-	h.Observe(5)
-	reg.RegisterHistogram("op_latency_ms", &h)
-	if got := reg.Histogram("op_latency_ms"); got != &h {
-		t.Fatalf("Histogram returned a different instrument after register")
-	}
-	reg.Histogram("op_latency_ms").Observe(7)
-	if h.Count() != 2 || h.Sum() != 12 {
-		t.Fatalf("shared histogram: count %d sum %v, want 2, 12", h.Count(), h.Sum())
-	}
-
-	var ts TimeSeries
-	reg.RegisterSeries("epoch_throughput_bytes", &ts)
-	ts.Record(0, 42)
-	if last, ok := reg.Series("epoch_throughput_bytes").Last(); !ok || last.Value != 42 {
-		t.Fatalf("shared series: %v %v", last, ok)
-	}
-
-	var c Counter
-	c.Inc()
-	reg.RegisterCounter("ops", &c)
-	reg.Counter("ops").Inc()
-	if c.Value() != 2 {
-		t.Fatalf("shared counter: %v, want 2", c.Value())
-	}
-
-	var g Gauge
-	reg.RegisterGauge("depth", &g)
-	reg.Gauge("depth").Set(3)
-	if g.Value() != 3 {
-		t.Fatalf("shared gauge: %v, want 3", g.Value())
-	}
-}
-
 // TestPublishBridgesToObs pins the Publish collector's exported shapes:
 // counters and gauges verbatim under the prefix, histograms as the
 // _count/_mean/_p99 triple, series as _last — including instruments
-// registered via the shim path and instruments created after Publish.
+// created after Publish.
 func TestPublishBridgesToObs(t *testing.T) {
 	reg := NewRegistry()
 	o := obs.NewRegistry()
@@ -56,10 +17,9 @@ func TestPublishBridgesToObs(t *testing.T) {
 
 	reg.Counter("spawns").Inc()
 	reg.Gauge("cpu_util").Set(0.5)
-	var h Histogram
+	h := reg.Histogram("lat_ms")
 	h.Observe(2)
 	h.Observe(4)
-	reg.RegisterHistogram("lat_ms", &h)
 	reg.Series("power_watts").Record(0, 3.5)
 
 	got := map[string]float64{}

@@ -5,8 +5,8 @@ package netsim
 // cancellations, completions, shaping, duplex link failures and
 // re-paths — is replayed against three identically wired rigs running
 // the lazy accounting (default), the eager whole-fleet sweep
-// (SetEagerAdvance), and a forced-parallel domain solve
-// (SetSolveWorkers). After every step all committed and materialised
+// (KernelMode.EagerAdvance), and a forced-parallel domain solve
+// (KernelMode.SolveWorkers). After every step all committed and materialised
 // accounting state must agree BITWISE across the rigs, and at the end
 // the completion logs (who ended, when, why, with how many bits) must
 // be identical. This is the flow-level half of the lazy/parallel
@@ -45,8 +45,8 @@ func TestLazyEagerParallelBitwiseEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			rigs := []*kernelRig{
 				newKernelRig(t, seed, nil),
-				newKernelRig(t, seed, func(n *Network) { n.SetEagerAdvance(true) }),
-				newKernelRig(t, seed, func(n *Network) { n.SetSolveWorkers(4) }),
+				newKernelRig(t, seed, func(n *Network) { n.SetKernelMode(KernelMode{EagerAdvance: true}) }),
+				newKernelRig(t, seed, func(n *Network) { n.SetKernelMode(KernelMode{SolveWorkers: 4}) }),
 			}
 			labels := []string{"lazy", "eager", "parallel"}
 			rng := rand.New(rand.NewSource(seed * 7919))

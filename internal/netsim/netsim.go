@@ -310,7 +310,7 @@ type Network struct {
 	dirty        bool
 	// eagerAdvance restores the seed kernel's O(live flows) sweep at
 	// every time-advancing mutation — the test/ablation mode behind
-	// SetEagerAdvance. The sweep materialises every flow (recreating the
+	// KernelMode.EagerAdvance. The sweep materialises every flow (recreating the
 	// old cost model for benchmarks) and cross-checks the lazy
 	// accounting, but never commits, so both modes are byte-identical.
 	eagerAdvance bool
@@ -358,11 +358,6 @@ type Network struct {
 	groupOrder  []int
 	groupStale  bool
 	removedTags map[linkKey]int
-	// shardOf maps a node to its pod shard under the engine's sharded
-	// advance (SetShardMap); nil when sharding is off. Used only to tag
-	// completion events with a locality hint — tags are routing, never
-	// ordering, so the map cannot affect a trace.
-	shardOf func(NodeID) int
 	// stats and tracer are the observability taps (see stats.go):
 	// telemetry counters outside every digest, an optional dual-clock
 	// span per flush, and opt-in phase profiling.
@@ -403,30 +398,6 @@ func New(engine *sim.Engine) *Network {
 	}
 	n.flushFn = n.flush
 	return n
-}
-
-// SetShardMap installs (or, with nil, removes) the node → pod-shard map
-// the engine's sharded advance partitions by. With a map installed,
-// each flow-completion event is tagged with the shard of the flow's
-// source node, so the standing mass of pending completions lands in
-// per-pod scheduler queues and the stage phase parallelises across
-// pods. The map is a locality hint only: execution order stays the
-// global (time, seq) total order, so traces are identical with any map
-// — including none.
-func (n *Network) SetShardMap(fn func(NodeID) int) { n.shardOf = fn }
-
-// MinLinkLatency returns the smallest base (unshaped) latency over all
-// current links — the conservative lookahead bound for the sharded
-// advance: no effect can cross between nodes, and so between pods,
-// faster than the fastest cable. Zero when the network has no links.
-func (n *Network) MinLinkLatency() time.Duration {
-	var min time.Duration
-	for _, l := range n.linkList {
-		if l.baseLatency > 0 && (min == 0 || l.baseLatency < min) {
-			min = l.baseLatency
-		}
-	}
-	return min
 }
 
 // markDirty defers rate recomputation to the end of the current virtual
@@ -520,50 +491,6 @@ func (n *Network) SetKernelMode(m KernelMode) {
 	n.serialSolve = m.SerialSolve
 	n.solveWorkers = m.SolveWorkers
 	n.fullRecompute = m.FullRecompute
-}
-
-// SetFullRecompute switches the allocator between incremental (default,
-// dirty domains only) and full re-solve of every domain at each flush.
-//
-// Deprecated: set core.KernelOptions on core.Config (or use
-// SetKernelMode) instead; this shim survives for the differential tests.
-func (n *Network) SetFullRecompute(v bool) {
-	m := n.KernelMode()
-	m.FullRecompute = v
-	n.SetKernelMode(m)
-}
-
-// SetEagerAdvance restores the seed kernel's whole-fleet accounting
-// sweep at every time-advancing mutation (see KernelMode.EagerAdvance).
-//
-// Deprecated: set core.KernelOptions on core.Config (or use
-// SetKernelMode) instead; this shim survives for the differential tests.
-func (n *Network) SetEagerAdvance(v bool) {
-	m := n.KernelMode()
-	m.EagerAdvance = v
-	n.SetKernelMode(m)
-}
-
-// SetSerialSolve forces dirty congestion domains to be solved on the
-// engine goroutine, one after another (see KernelMode.SerialSolve).
-//
-// Deprecated: set core.KernelOptions on core.Config (or use
-// SetKernelMode) instead; this shim survives for the differential tests.
-func (n *Network) SetSerialSolve(v bool) {
-	m := n.KernelMode()
-	m.SerialSolve = v
-	n.SetKernelMode(m)
-}
-
-// SetSolveWorkers sizes the parallel solve pool (see
-// KernelMode.SolveWorkers).
-//
-// Deprecated: set core.KernelOptions on core.Config (or use
-// SetKernelMode) instead; this shim survives for the differential tests.
-func (n *Network) SetSolveWorkers(k int) {
-	m := n.KernelMode()
-	m.SolveWorkers = k
-	n.SetKernelMode(m)
 }
 
 // AddNode registers a device.
@@ -1015,7 +942,7 @@ func (n *Network) advance() {
 // materialises every live flow, verifies the lazy accounting invariant
 // (a flow's materialised total never decreases — a decrease means a
 // rate change was applied without committing the preceding span), and
-// compacts ended flows eagerly. It exists as the SetEagerAdvance test
+// compacts ended flows eagerly. It exists as the KernelMode.EagerAdvance test
 // and ablation mode; the lazy path compacts on a counter instead.
 func (n *Network) advanceAll() {
 	now := n.engine.Now()

@@ -213,9 +213,7 @@ func catalog() []Spec {
 			Name:        "megafleet-fattree-1000",
 			Description: "1024 nodes in a k=16 fat-tree: gravity-heavy cross-pod load with churn and an uplink outage",
 			// Racks are fat-tree pods (16 pods × 64 hosts fills the
-			// k³/4 capacity exactly), so the sharded advance's
-			// contiguous rack grouping never splits a pod. Every
-			// cross-pod cold route exercises the edge→agg→core→agg→edge
+			// k³/4 capacity exactly). Every cross-pod cold route exercises the edge→agg→core→agg→edge
 			// synthesis case; the LinkFail prunes one pod's ECMP fan
 			// without pushing any pair outside the provable shape.
 			Cloud: core.Config{

@@ -44,7 +44,7 @@ func TestCalendarMatchesClassicHeap(t *testing.T) {
 			spec = shrinkForGate(spec)
 			base := kernelBaseline(t, name) // default: calendar scheduler
 
-			classic := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.ClassicHeap = true })
+			classic := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.Kernel.ClassicHeap = true })
 			requireIdentical(t, "calendar vs classic heap", base, classic)
 		})
 	}

@@ -72,7 +72,7 @@ func TestShardedBuildMatchesSerial(t *testing.T) {
 			spec = shrink(spec)
 
 			serialSpec := spec
-			serialSpec.Cloud.SerialBuild = true
+			serialSpec.Cloud.Kernel.SerialBuild = true
 			serialCloud, err := core.New(serialSpec.Cloud)
 			if err != nil {
 				t.Fatal(err)

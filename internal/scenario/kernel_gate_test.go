@@ -115,14 +115,14 @@ func TestParallelSolveMatchesSerial(t *testing.T) {
 			spec = shrinkForGate(spec)
 			base := kernelBaseline(t, name)
 
-			serial := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.SerialSolve = true })
+			serial := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.Kernel.SerialSolve = true })
 			requireIdentical(t, "default vs serial solve", base, serial)
 
 			// An explicit worker count forces the pool on for every
 			// flush with ≥ 2 dirty domains, however small — the
 			// deterministic-partition proof on fabrics that would
 			// otherwise stay under the auto threshold.
-			forced := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.SolveWorkers = 4 })
+			forced := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.Kernel.SolveWorkers = 4 })
 			requireIdentical(t, "default vs forced parallel solve", base, forced)
 		})
 	}
@@ -139,14 +139,14 @@ func TestLazyAdvanceMatchesEager(t *testing.T) {
 			spec = shrinkForGate(spec)
 			base := kernelBaseline(t, name)
 
-			eager := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.EagerAdvance = true })
+			eager := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.Kernel.EagerAdvance = true })
 			requireIdentical(t, "lazy vs eager advance", base, eager)
 
 			// Both knobs together: the seed kernel's sweep cadence with
 			// the solve pool forced on.
 			both := executeKernelVariant(t, spec, func(cfg *core.Config) {
-				cfg.EagerAdvance = true
-				cfg.SolveWorkers = 3
+				cfg.Kernel.EagerAdvance = true
+				cfg.Kernel.SolveWorkers = 3
 			})
 			requireIdentical(t, "lazy vs eager+parallel", base, both)
 		})

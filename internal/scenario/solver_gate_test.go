@@ -26,12 +26,12 @@ import (
 // and runs the whole timeline.
 func executeWithMode(t *testing.T, spec Spec, fullRecompute bool) *Report {
 	t.Helper()
+	spec.Cloud.Kernel.FullRecompute = fullRecompute
 	cloud, err := core.New(spec.Cloud)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cloud.Close()
-	cloud.Net.SetFullRecompute(fullRecompute)
 	r, err := Install(cloud, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -86,7 +86,6 @@ type eventNode struct {
 	index    int // scheduler slot (heap index / calendar stored marker), -1 once removed
 	gen      uint64
 	canceled bool
-	shard    int32 // owning shard under the sharded advance; GlobalShard otherwise
 	fn       func()
 }
 
@@ -200,14 +199,6 @@ type Engine struct {
 	// node. Telemetry only: not part of WriteState, so observing it can
 	// never shift a kernel fingerprint.
 	tombstones uint64
-
-	// shard is the pod-sharded advance state (shard.go); nil in the
-	// default single-loop mode. affinity is the shard of the currently
-	// executing event — inherited by anything it schedules — and
-	// onWindow observes executed windows for the tracer.
-	shard    *shardState
-	affinity int32
-	onWindow func(start, end Time, staged int)
 }
 
 // NewEngine returns an engine at the epoch using the given RNG seed.
@@ -215,7 +206,7 @@ type Engine struct {
 // set lives in the two-level calendar scheduler; SetClassicHeap restores
 // the seed binary heap.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), sched: newCalendarQueue(), affinity: GlobalShard}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), sched: newCalendarQueue()}
 }
 
 // SetClassicHeap switches the pending-event store between the default
@@ -229,20 +220,16 @@ func (e *Engine) SetClassicHeap(v bool) {
 	if v == e.classic {
 		return
 	}
-	e.classic = v
-	migrate := func(q scheduler) scheduler {
-		ns := e.newSched()
-		for _, n := range q.drain() {
-			ns.push(n)
-		}
-		return ns
+	var ns scheduler
+	if v {
+		ns = &heapQueue{}
+	} else {
+		ns = newCalendarQueue()
 	}
-	e.sched = migrate(e.sched)
-	if s := e.shard; s != nil {
-		for i, q := range s.scheds {
-			s.scheds[i] = migrate(q)
-		}
+	for _, n := range e.sched.drain() {
+		ns.push(n)
 	}
+	e.sched, e.classic = ns, v
 }
 
 // ClassicHeap reports whether the seed binary heap is in use.
@@ -262,17 +249,9 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events waiting in the queue (all shard
-// queues included), including cancelled events not yet discarded.
-func (e *Engine) Pending() int {
-	n := e.sched.size()
-	if s := e.shard; s != nil {
-		for _, q := range s.scheds {
-			n += q.size()
-		}
-	}
-	return n
-}
+// Pending returns the number of events waiting in the queue, including
+// cancelled events not yet discarded.
+func (e *Engine) Pending() int { return e.sched.size() }
 
 // SchedStats is a read-only snapshot of the scheduler's operational
 // counters for the observability layer: everything here is either
@@ -301,7 +280,7 @@ func (e *Engine) SchedStats() SchedStats {
 		Now:        e.now,
 		Scheduled:  e.seq,
 		Fired:      e.fired,
-		Pending:    e.Pending(),
+		Pending:    e.sched.size(),
 		Tombstones: e.tombstones,
 		Classic:    e.classic,
 	}
@@ -325,18 +304,12 @@ type PendingEvent struct {
 // order. The walk is non-destructive — cancelled tombstones are skipped,
 // not discarded — so capturing the pending set never perturbs a run.
 func (e *Engine) PendingEvents() []PendingEvent {
-	out := make([]PendingEvent, 0, e.Pending())
-	collect := func(n *eventNode) {
+	out := make([]PendingEvent, 0, e.sched.size())
+	e.sched.forEach(func(n *eventNode) {
 		if !n.canceled {
 			out = append(out, PendingEvent{At: n.at, Seq: n.seq})
 		}
-	}
-	e.sched.forEach(collect)
-	if s := e.shard; s != nil {
-		for _, q := range s.scheds {
-			q.forEach(collect)
-		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].At != out[j].At {
 			return out[i].At < out[j].At
@@ -369,18 +342,8 @@ func (e *Engine) Schedule(d Duration, fn func()) Event {
 }
 
 // ScheduleAt queues fn to run at absolute virtual time t. Times in the
-// past are clamped to the current time. The event inherits the shard of
-// the currently executing event (GlobalShard outside callbacks); see
-// ScheduleAtShard for explicit placement.
+// past are clamped to the current time.
 func (e *Engine) ScheduleAt(t Time, fn func()) Event {
-	return e.scheduleAt(t, e.affinity, fn)
-}
-
-// scheduleAt is the single scheduling path: assign the sequence number,
-// tag the node with its shard and route it to the owning queue. The
-// shard tag never enters the (time, seq) total order, so routing cannot
-// shift a trace.
-func (e *Engine) scheduleAt(t Time, shard int32, fn func()) Event {
 	if fn == nil {
 		panic("sim: ScheduleAt with nil function")
 	}
@@ -399,21 +362,8 @@ func (e *Engine) scheduleAt(t Time, shard int32, fn func()) Event {
 	n.at = t
 	n.seq = e.seq
 	n.canceled = false
-	n.shard = shard
 	n.fn = fn
-	if s := e.shard; s != nil {
-		qi := len(s.scheds)
-		if int(shard) >= 0 && int(shard) < len(s.scheds) {
-			qi = int(shard)
-		}
-		e.queueAt(qi).push(n)
-		s.liveDirty[qi] = true
-		if e.affinity >= 0 && shard >= 0 && shard != e.affinity {
-			s.crossShard++
-		}
-	} else {
-		e.sched.push(n)
-	}
+	e.sched.push(n)
 	return Event{n: n, gen: n.gen, at: t}
 }
 
@@ -434,9 +384,6 @@ func (e *Engine) Stop() { e.stopped = true }
 // It reports whether an event was executed (false when the queue is
 // empty). Cancelled events are discarded without executing.
 func (e *Engine) Step() bool {
-	if e.shard != nil {
-		return e.stepSharded()
-	}
 	for {
 		ev := e.sched.popMin()
 		if ev == nil {
@@ -475,9 +422,6 @@ func (e *Engine) Run() error {
 // exactly t. Events scheduled beyond t remain queued. It returns
 // ErrStopped if Stop was called during the run.
 func (e *Engine) RunUntil(t Time) error {
-	if e.shard != nil {
-		return e.runWindowedUntil(t)
-	}
 	e.stopped = false
 	for !e.stopped {
 		next := e.peek()
@@ -505,9 +449,6 @@ func (e *Engine) RunFor(d Duration) error { return e.RunUntil(e.now.Add(d)) }
 // discarding cancelled tombstones it encounters at the front of the
 // schedule (the cancelled-on-top compaction both schedulers share).
 func (e *Engine) peek() *eventNode {
-	if e.shard != nil {
-		return e.peekSharded()
-	}
 	for {
 		ev := e.sched.peekMin()
 		if ev == nil {

@@ -6,6 +6,7 @@ package store
 // hostile names), and the recipe → rebuilt-run digest contract.
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -230,5 +231,33 @@ func TestRecipeRebuildReproducesRun(t *testing.T) {
 	}
 	if got, want := rebuilt.Cloud.KernelState().Digest, orig.Cloud.KernelState().Digest; got != want {
 		t.Fatalf("rebuilt kernel digest %s, original %s", got, want)
+	}
+
+	// The same recipe as written by a store from before the sharding
+	// knobs were retired: testdata/legacy-recipe.json still carries
+	// their three wire fields. Decoding ignores them, so data
+	// directories from that era still recover and verify against the
+	// digests they journaled.
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-recipe.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old Recipe
+	if err := json.Unmarshal(legacy, &old); err != nil {
+		t.Fatalf("legacy recipe refused: %v", err)
+	}
+	if !reflect.DeepEqual(old, recipe) {
+		t.Fatalf("legacy recipe decoded as %+v, want %+v", old, recipe)
+	}
+	replayed, err := old.Rebuild()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.Cloud.Close()
+	if got, want := scenario.DigestTrace(replayed.Trace()), scenario.DigestTrace(orig.Trace()); got != want {
+		t.Fatalf("legacy recipe trace digest %s, original %s", got, want)
+	}
+	if got, want := replayed.Cloud.KernelState().Digest, orig.Cloud.KernelState().Digest; got != want {
+		t.Fatalf("legacy recipe kernel digest %s, original %s", got, want)
 	}
 }
