@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-megafleet bench bench-smoke bench-json trace-artifact determinism-single-core service-smoke crash-gate lint ci
+.PHONY: all build test race race-megafleet bench bench-smoke trace-artifact determinism-single-core service-smoke crash-gate fuzz lint ci
 
 all: build
 
@@ -44,17 +44,6 @@ bench-smoke:
 determinism-single-core:
 	GOMAXPROCS=1 $(GO) test -run 'TraceDigest|MatchesSerial|MatchesEager|MatchesFullSolver|BitwiseEquivalence|MatchesClassicHeap|CheckpointResume|StudyDigests' ./internal/scenario ./internal/netsim ./internal/sim
 
-# The benchmark trajectory: one run of every canned scenario, written as
-# BENCH_PR10.json (per-scenario sim-s/wall-s, events/s, peak-RSS,
-# run-phase wall series, the fleet-construction wall-time series, the
-# flush/solve phase-profile wall split, trace digests, the
-# classic-vs-calendar scheduler events/s series at 10k/100k/1M nodes,
-# and the synthesis-vs-Dijkstra routing series on the 100k fat-tree —
-# digest equality between arms asserted before the file is written).
-# CI uploads it as an artifact.
-bench-json:
-	$(GO) run ./cmd/piscale -bench-json BENCH_PR10.json
-
 # A Perfetto-loadable span trace of the 1000-node scale scenario:
 # advance slices, per-domain netsim flushes and checkpoint spans with
 # dual virtual/wall stamps. CI uploads run.trace.json as an artifact.
@@ -83,9 +72,17 @@ crash-gate:
 	rm -rf crash-data
 	$(GO) run -race ./cmd/piscaled -crash-gate -crash-budget 8m -crash-dir crash-data
 
+# Native fuzzing of the wire decoding (internal/cliconfig): each target
+# runs for a short -fuzztime on top of its committed seed corpus under
+# testdata/fuzz/. A failing input is written there and must be fixed
+# in the decoder, then kept as a seed.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzFaultRequest$$' -fuzztime 15s ./internal/cliconfig
+	$(GO) test -run='^$$' -fuzz='^FuzzSpecRequest$$' -fuzztime 15s ./internal/cliconfig
+
 lint:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
-ci: build lint test race race-megafleet bench-smoke determinism-single-core service-smoke crash-gate
+ci: build lint test race race-megafleet bench-smoke determinism-single-core service-smoke crash-gate fuzz

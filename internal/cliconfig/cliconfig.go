@@ -1,8 +1,8 @@
 // Package cliconfig is the configuration surface shared by the three
-// binaries: the flag set piscale and picloud both register (fleet
-// shape, fabric, kernel-mode knobs), the fabric-name parser, and the
-// wire-level spec and fault decoding the session service (piscaled)
-// and piscale's checkpoint files both speak. One package, one set of
+// binaries: the flag set piscale, picloud and piscaled register (fleet
+// shape, fabric, seed, duration, sampling), the fabric-name parser,
+// and the wire-level spec and fault decoding the session service
+// (piscaled) and piscale's checkpoint files both speak. One package, one set of
 // JSON field names, one override order — a spec decoded from a
 // checkpoint file, a command line or a POST body resolves through the
 // identical code path.
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/scenario"
 	"repro/internal/topology"
@@ -33,11 +32,6 @@ type Common struct {
 	Seed         int64
 	Duration     time.Duration
 	Sample       time.Duration
-	SolveWorkers int
-	SerialSolve  bool
-	EagerAdvance bool
-	ClassicHeap  bool
-	NoRouteSynth bool
 }
 
 // Register installs the shared flags on fs, with the receiver's current
@@ -49,22 +43,6 @@ func (c *Common) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&c.Seed, "seed", c.Seed, "override the scenario's RNG seed (-1 = keep)")
 	fs.DurationVar(&c.Duration, "duration", c.Duration, "override the simulated duration")
 	fs.DurationVar(&c.Sample, "sample", c.Sample, "override the metrics sampling cadence")
-	fs.IntVar(&c.SolveWorkers, "solve-workers", c.SolveWorkers, "parallel domain-solve pool size (0 = auto with work threshold; >0 forces fan-out)")
-	fs.BoolVar(&c.SerialSolve, "serial-solve", c.SerialSolve, "solve dirty congestion domains serially on the engine goroutine")
-	fs.BoolVar(&c.EagerAdvance, "eager-advance", c.EagerAdvance, "restore the whole-fleet flow accounting sweep at every instant (seed kernel cost model)")
-	fs.BoolVar(&c.ClassicHeap, "classic-heap", c.ClassicHeap, "restore the seed binary event heap in place of the calendar scheduler")
-	fs.BoolVar(&c.NoRouteSynth, "no-route-synth", c.NoRouteSynth, "disable structured route synthesis: every route-cache miss runs the full Dijkstra (ablation; traces stay byte-identical)")
-}
-
-// Kernel renders the kernel-mode knobs as the unified options struct.
-func (c Common) Kernel() core.KernelOptions {
-	return core.KernelOptions{
-		ClassicHeap:           c.ClassicHeap,
-		EagerAdvance:          c.EagerAdvance,
-		SerialSolve:           c.SerialSolve,
-		SolveWorkers:          c.SolveWorkers,
-		DisableRouteSynthesis: c.NoRouteSynth,
-	}
 }
 
 // SpecRequest renders the overrides as the wire form for the named
@@ -77,12 +55,6 @@ func (c Common) SpecRequest(scenarioName string) SpecRequest {
 		HostsPerRack: c.HostsPerRack,
 		Fabric:       c.Fabric,
 		Sample:       Duration(c.Sample),
-		SolveWorkers: c.SolveWorkers,
-		SerialSolve:  c.SerialSolve,
-		EagerAdvance: c.EagerAdvance,
-		ClassicHeap:  c.ClassicHeap,
-
-		DisableRouteSynthesis: c.NoRouteSynth,
 	}
 	if c.Seed >= 0 {
 		s := c.Seed
@@ -140,8 +112,10 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // the field names are piscale's checkpoint-file fields, so a checkpoint
 // payload, a -scenario command line and a POST /v1/sessions body all
 // decode through Resolve. A nil (or negative) Seed keeps the catalog
-// seed; zero numeric fields keep the catalog values; the kernel-mode
-// booleans apply unconditionally (false is the default kernel).
+// seed; zero numeric fields keep the catalog values. The kernel's
+// oracle twins are not on the wire: they are core.Config.Kernel only,
+// and Resolve keeps the catalog scenario's (default) kernel. Fields of
+// older encodings that carried them decode and are ignored.
 type SpecRequest struct {
 	Scenario     string   `json:"scenario"`
 	Seed         *int64   `json:"seed,omitempty"`
@@ -150,16 +124,10 @@ type SpecRequest struct {
 	HostsPerRack int      `json:"hosts_per_rack,omitempty"`
 	Fabric       string   `json:"fabric,omitempty"`
 	Sample       Duration `json:"sample_ns,omitempty"`
-	SolveWorkers int      `json:"solve_workers,omitempty"`
-	SerialSolve  bool     `json:"serial_solve,omitempty"`
-	EagerAdvance bool     `json:"eager_advance,omitempty"`
-	ClassicHeap  bool     `json:"classic_heap,omitempty"`
-
-	DisableRouteSynthesis bool `json:"disable_route_synthesis,omitempty"`
 }
 
 // Resolve looks the scenario up in the catalog and applies the
-// overrides, kernel options included.
+// overrides.
 func (r SpecRequest) Resolve() (scenario.Spec, error) {
 	spec, err := scenario.Catalog(r.Scenario)
 	if err != nil {
@@ -187,13 +155,6 @@ func (r SpecRequest) Resolve() (scenario.Spec, error) {
 	if r.Sample > 0 {
 		spec.SampleEvery = time.Duration(r.Sample)
 	}
-	spec.Cloud.Kernel = spec.Cloud.Kernel.Union(core.KernelOptions{
-		ClassicHeap:           r.ClassicHeap,
-		EagerAdvance:          r.EagerAdvance,
-		SerialSolve:           r.SerialSolve,
-		SolveWorkers:          r.SolveWorkers,
-		DisableRouteSynthesis: r.DisableRouteSynthesis,
-	})
 	return spec, nil
 }
 

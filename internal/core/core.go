@@ -40,10 +40,10 @@ import (
 // applied) is the published PiCloud: 4 racks × 14 Raspberry Pi Model B.
 type Config = fleet.Config
 
-// KernelOptions is the unified kernel ablation surface (see
-// fleet.KernelOptions). Set Config.Kernel to choose scheduler, flow
-// solver, routing and builder variants atomically at construction or
-// resume.
+// KernelOptions holds the kernel's Go-only oracle twins (see
+// fleet.KernelOptions). Differential tests set Config.Kernel to choose
+// scheduler, flow-accounting, solver and builder variants atomically at
+// construction or resume.
 type KernelOptions = fleet.KernelOptions
 
 // Node bundles everything attached to one Pi.

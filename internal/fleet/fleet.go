@@ -65,61 +65,39 @@ const (
 	MaxHostsPerRack = 4093
 )
 
-// KernelOptions collects every kernel ablation and escape-hatch knob
-// behind one struct, applied atomically at construction and resume.
-// Every option is byte-identical to the defaults by construction — the
-// determinism gates prove it on every build — so the zero value is the
-// production kernel and every combination is safe to flip for ablation
-// benchmarks, differential tests, or as an escape hatch. Config.Kernel
-// is the only way these knobs reach a cloud.
+// KernelOptions holds the kernel's oracle twins: alternate scheduler,
+// flow-accounting, solver and builder paths that are byte-identical to
+// the defaults by construction. They are Go-only test oracles — each
+// field exists because a differential gate runs the catalog on both
+// sides and requires identical digests — and no command line, wire
+// spec or checkpoint file reaches them. The zero value is the
+// production kernel; Config.Kernel is the only way a cloud gets any
+// other, applied atomically at construction and resume.
 type KernelOptions struct {
 	// ClassicHeap restores the seed engine's single binary event heap
 	// in place of the default two-level calendar scheduler
-	// (TestCalendarMatchesClassicHeap pins the equivalence).
+	// (TestCalendarMatchesClassicHeap).
 	ClassicHeap bool
 	// EagerAdvance restores the seed kernel's whole-fleet flow
-	// accounting sweep at every time-advancing mutation (see
-	// netsim.KernelMode.EagerAdvance).
+	// accounting sweep at every time-advancing mutation
+	// (TestLazyAdvanceMatchesEager; see netsim.KernelMode.EagerAdvance).
 	EagerAdvance bool
 	// SerialSolve forces the congestion-domain solver onto the engine
-	// goroutine (see netsim.KernelMode.SerialSolve).
+	// goroutine (TestParallelSolveMatchesSerial; see
+	// netsim.KernelMode.SerialSolve).
 	SerialSolve bool
 	// SolveWorkers sizes the parallel solve pool: 0 auto-sizes from
 	// GOMAXPROCS with a work threshold; an explicit count forces
-	// fan-out (see netsim.KernelMode.SolveWorkers).
+	// fan-out (TestParallelSolveMatchesSerial; see
+	// netsim.KernelMode.SolveWorkers).
 	SolveWorkers int
 	// FullRecompute re-solves every congestion domain at each flush
-	// instead of dirty domains only (see
+	// instead of dirty domains only (TestIncrementalMatchesFullSolver; see
 	// netsim.KernelMode.FullRecompute).
 	FullRecompute bool
-	// SerialBuild forces single-goroutine fleet construction; the
-	// sharded build is byte-identical by construction
+	// SerialBuild forces single-goroutine fleet construction
 	// (TestShardedBuildMatchesSerial).
 	SerialBuild bool
-	// DisableRouteSynthesis turns off the SDN controller's structured
-	// route synthesis, forcing every route-cache miss through the full
-	// Dijkstra (see sdn.Config.DisableRouteSynthesis). The synthesis is
-	// provably bit-identical (TestRouteSynthesisMatchesDijkstra), so
-	// this is the ablation arm of the fat-tree bench series, not a
-	// behaviour switch.
-	DisableRouteSynthesis bool
-}
-
-// Union folds another option set into this one: booleans OR (a knob
-// flipped on either surface stays on) and the explicit worker count
-// wins over auto. It is how command-line or API overrides land on a
-// catalog scenario's options.
-func (k KernelOptions) Union(o KernelOptions) KernelOptions {
-	k.ClassicHeap = k.ClassicHeap || o.ClassicHeap
-	k.EagerAdvance = k.EagerAdvance || o.EagerAdvance
-	k.SerialSolve = k.SerialSolve || o.SerialSolve
-	k.FullRecompute = k.FullRecompute || o.FullRecompute
-	k.SerialBuild = k.SerialBuild || o.SerialBuild
-	k.DisableRouteSynthesis = k.DisableRouteSynthesis || o.DisableRouteSynthesis
-	if k.SolveWorkers == 0 {
-		k.SolveWorkers = o.SolveWorkers
-	}
-	return k
 }
 
 // netMode projects the options onto the network kernel's knob surface.
@@ -133,7 +111,7 @@ func (k KernelOptions) netMode() netsim.KernelMode {
 }
 
 // applyKernel applies the whole kernel-options surface in one step at
-// construction/resume — the only place ablation knobs reach the engine
+// construction/resume — the only place the oracle twins reach the engine
 // and the network kernel, so a cloud can never boot with a
 // half-applied mix of modes.
 func applyKernel(engine *sim.Engine, net *netsim.Network, k KernelOptions) {
@@ -175,7 +153,7 @@ type Config struct {
 	RoutingPolicy sdn.Policy
 	// MigrationConfig tunes pre-copy.
 	MigrationConfig migration.Config
-	// Kernel collects every ablation and escape-hatch knob, applied
+	// Kernel selects the oracle twins (see KernelOptions), applied
 	// atomically at construction/resume.
 	Kernel KernelOptions
 }
@@ -365,9 +343,7 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 		return nil, fmt.Errorf("fleet: plan holds %d hosts, fabric wired %d", len(plan.hosts), len(topo.Hosts))
 	}
 
-	sdnCfg := sdn.DefaultConfig()
-	sdnCfg.DisableRouteSynthesis = cfg.Kernel.DisableRouteSynthesis
-	ctrl := sdn.NewController(engine, net, sdnCfg)
+	ctrl := sdn.NewController(engine, net, sdn.DefaultConfig())
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, engine))
 	}

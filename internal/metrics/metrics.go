@@ -1,78 +1,18 @@
-// Package metrics provides the lightweight instrumentation primitives used
-// across the PiCloud: counters, gauges, time series sampled on the virtual
-// clock, and histograms with percentile queries. The pimaster monitoring
-// endpoints and every experiment harness read from these.
+// Package metrics holds the exact-sample instruments the workload
+// generators, node daemons and experiment harnesses read: time series
+// sampled on the virtual clock, and histograms that keep every
+// observation for exact percentile queries. Counters, gauges and the
+// exported series namespace (Prometheus text at /v1/metrics) live in
+// internal/obs.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
-
-// Counter is a monotonically increasing count. The zero value is ready to
-// use. Counter is safe for concurrent use; increments are a CAS loop over
-// the raw float bits, so hot paths (per-event, per-request) never contend
-// on a lock (see BenchmarkCounterParallelAtomic for the win over the old
-// mutex version).
-type Counter struct {
-	bits atomic.Uint64
-}
-
-// Add increments the counter by delta. Negative deltas panic: counters
-// only go up.
-func (c *Counter) Add(delta float64) {
-	if delta < 0 {
-		panic("metrics: negative delta on Counter")
-	}
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() float64 {
-	return math.Float64frombits(c.bits.Load())
-}
-
-// Gauge is a value that can go up and down. The zero value is ready to
-// use and reads 0. Gauge is safe for concurrent use; Set is one atomic
-// store, Add a CAS loop.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	return math.Float64frombits(g.bits.Load())
-}
 
 // Sample is one (virtual time, value) observation.
 type Sample struct {
@@ -255,94 +195,3 @@ func (h *Histogram) Min() float64 { return h.Quantile(0) }
 
 // Max returns the largest observation, or 0 when empty.
 func (h *Histogram) Max() float64 { return h.Quantile(1) }
-
-// Registry is a named collection of metrics, used by each node daemon and
-// pimaster to expose instrumentation over the REST API. The zero value is
-// not usable; construct with NewRegistry.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	series   map[string]*TimeSeries
-	hists    map[string]*Histogram
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		series:   make(map[string]*TimeSeries),
-		hists:    make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the counter with the given name, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge with the given name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Series returns the time series with the given name, creating it on
-// first use.
-func (r *Registry) Series(name string) *TimeSeries {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.series[name]
-	if !ok {
-		s = &TimeSeries{}
-		r.series[name] = s
-	}
-	return s
-}
-
-// Histogram returns the histogram with the given name, creating it on
-// first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Snapshot returns a flat name→value view of counters and gauges plus
-// histogram summaries, for JSON export from the REST daemons.
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+3*len(r.hists))
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		out[fmt.Sprintf("%s_count", name)] = float64(h.Count())
-		out[fmt.Sprintf("%s_mean", name)] = h.Mean()
-		out[fmt.Sprintf("%s_p99", name)] = h.Quantile(0.99)
-	}
-	return out
-}

@@ -908,19 +908,43 @@ type NodeChurn struct {
 	Outage time.Duration
 }
 
+// maxChurnCycles caps the power cycles one NodeChurn may expand into.
+// The catalog's busiest churn is a few hundred cycles; the cap only
+// refuses cadences (every_ns:1 over minutes) whose expansion would
+// exhaust memory.
+const maxChurnCycles = 1 << 16
+
+// cycles is how many power cycles fire in [Start, d]. The one division
+// cannot overflow, where stepping Start by Every can.
+func (f NodeChurn) cycles(d time.Duration) int64 {
+	if f.Start > d {
+		return 0
+	}
+	return int64((d-f.Start)/f.Every) + 1
+}
+
 func (f NodeChurn) validate(s *Spec) error {
+	if f.Start < 0 {
+		return fmt.Errorf("node churn needs a non-negative start")
+	}
 	if f.Every <= 0 {
 		return fmt.Errorf("node churn needs a positive interval")
 	}
 	if f.Outage <= 0 {
 		return fmt.Errorf("node churn needs a positive outage")
 	}
+	if n := f.cycles(s.Duration); n > maxChurnCycles {
+		return fmt.Errorf("node churn every %v over %v is %d power cycles, more than the %d allowed",
+			f.Every, s.Duration, n, maxChurnCycles)
+	}
 	return nil
 }
 
 func (f NodeChurn) actions(r *Run) []timedAction {
-	var out []timedAction
-	for at := f.Start; at <= r.Spec.Duration; at += f.Every {
+	n := f.cycles(r.Spec.Duration)
+	out := make([]timedAction, 0, n)
+	for i := int64(0); i < n; i++ {
+		at := f.Start + time.Duration(i)*f.Every
 		out = append(out, timedAction{at: at, name: "node-churn", run: func(r *Run) error {
 			// Draw the victim from the engine RNG so churn is seeded; the
 			// powered-on check stays under the lock because scheduled

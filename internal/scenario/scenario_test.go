@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +108,51 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	for i, s := range cases {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted a bad spec", i)
+		}
+	}
+}
+
+// TestNodeChurnInjectIsBounded injects node-churn cadences that once
+// hung the session daemon: an interval whose step past the horizon
+// overflows (so the expansion never ended) and a one-nanosecond
+// interval (one closure per nanosecond). Each must be answered at once
+// — accepted with its real cycle count, or refused.
+func TestNodeChurnInjectIsBounded(t *testing.T) {
+	spec, err := Catalog("node-churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Cloud.Close()
+	cases := []struct {
+		f      NodeChurn
+		accept bool
+	}{
+		{NodeChurn{Start: spec.Duration, Every: math.MaxInt64, Outage: time.Second}, true},
+		{NodeChurn{Start: 0, Every: 1, Outage: time.Second}, false},
+		{NodeChurn{Start: -time.Second, Every: time.Second, Outage: time.Second}, false},
+	}
+	for _, c := range cases {
+		pending := len(r.actions) - r.cursor
+		done := make(chan error, 1)
+		go func() { done <- r.Inject(c.f) }()
+		select {
+		case err := <-done:
+			if (err == nil) != c.accept {
+				t.Fatalf("Inject(%+v) = %v, want accepted=%v", c.f, err, c.accept)
+			}
+		case <-time.After(time.Second):
+			// The expansion is still running and allocating: stop the
+			// whole process rather than let it exhaust memory.
+			panic(fmt.Sprintf("Inject(%+v) still running after 1s", c.f))
+		}
+		if c.accept {
+			if got := len(r.actions) - r.cursor - pending; got != 1 {
+				t.Fatalf("Inject(%+v) scheduled %d power cycles, want 1", c.f, got)
+			}
 		}
 	}
 }

@@ -64,6 +64,13 @@ func TestHTTPBadRequests(t *testing.T) {
 	if code, body := postStatus(t, inject, []byte(past)); code != http.StatusBadRequest {
 		t.Fatalf("inject before offset: HTTP %d (%s), want 400", code, body)
 	}
+	// A node-churn cadence that would expand into one power cycle per
+	// nanosecond → 400, answered at once.
+	churn := fmt.Sprintf(`{"kind":"node-churn","start_ns":%d,"every_ns":1,"outage_ns":%d}`,
+		int64(20*time.Second), int64(time.Second))
+	if code, body := postStatus(t, inject, []byte(churn)); code != http.StatusBadRequest {
+		t.Fatalf("1ns node churn: HTTP %d (%s), want 400", code, body)
+	}
 	// Advance with neither target nor step → 400.
 	if code, _ := postStatus(t, srv.URL+"/v1/sessions/"+s.ID+"/advance", []byte(`{}`)); code != http.StatusBadRequest {
 		t.Fatalf("targetless advance: HTTP %d, want 400", code)

@@ -3,10 +3,9 @@
 //
 // Three sources feed it:
 //
-//   - the manager's own metrics.Registry of service counters, published
-//     under the pisim_manager_ prefix (images built/shared, sessions
-//     created/closed/recovered/failed, forks, journal records,
-//     quarantines);
+//   - the manager's service counters, exported under the pisim_manager_
+//     prefix (images built/shared, sessions created/closed/recovered/
+//     failed, forks, journal records, quarantines);
 //   - per-session latency histograms (advance slice wall time, journal
 //     append+fsync wall time), created in adopt as real instruments so
 //     the kernel goroutine's hot path is one atomic observe;
@@ -32,10 +31,9 @@ import (
 	"repro/internal/scenario"
 )
 
-// initObs wires the manager's observability registry: help strings,
-// the service-counter bridge, and the per-session collector.
+// initObs wires the manager's observability registry: help strings
+// and the collector.
 func (m *Manager) initObs() {
-	m.reg.Publish(m.obs, "pisim_manager_")
 	m.obs.SetHelp("pisim_sessions", "Live sessions.")
 	m.obs.SetHelp("pisim_images", "Registered base images.")
 	m.obs.SetHelp("pisim_sessions_quarantined", "Session ids refused after failed recovery verification.")
@@ -87,6 +85,9 @@ func (m *Manager) collect(e *obs.Emitter) {
 	e.Gauge("pisim_sessions", float64(len(sessions)))
 	e.Gauge("pisim_images", float64(len(m.Images())))
 	e.Gauge("pisim_sessions_quarantined", float64(len(m.QuarantinedAll())))
+	for name, v := range m.Metrics() {
+		e.Counter("pisim_manager_"+name, v)
+	}
 	for _, s := range sessions {
 		s.collect(e)
 	}
@@ -125,17 +126,30 @@ func (s *Session) collect(e *obs.Emitter) {
 	e.Gauge("pisim_session_journal_lag_ns", float64(lag), lbl)
 	e.Gauge("pisim_session_subscribers", float64(subs), lbl)
 	e.Gauge("pisim_session_mailbox_depth", float64(len(s.cmds)), lbl)
-	snap := s.reg.Snapshot()
-	e.Counter("pisim_session_advances_total", snap["advances"], lbl)
-	e.Counter("pisim_session_injects_total", snap["injects"], lbl)
-	e.Counter("pisim_session_checkpoints_total", snap["checkpoints"], lbl)
-	e.Counter("pisim_session_forks_total", snap["forks"], lbl)
-	e.Counter("pisim_session_events_total", snap["events"], lbl)
-	e.Counter("pisim_session_events_dropped_total", snap["events_dropped"], lbl)
+	e.Counter("pisim_session_advances_total", s.advances.Value(), lbl)
+	e.Counter("pisim_session_injects_total", s.injects.Value(), lbl)
+	e.Counter("pisim_session_checkpoints_total", s.checkpoints.Value(), lbl)
+	e.Counter("pisim_session_forks_total", s.forks.Value(), lbl)
+	e.Counter("pisim_session_events_total", s.events.Value(), lbl)
+	e.Counter("pisim_session_events_dropped_total", s.eventsDropped.Value(), lbl)
 	if !valid {
 		return
 	}
 	core.CollectKernelStats(e, ks, lbl)
+}
+
+// metrics is Status.Metrics: the session's service counters by name,
+// plus its last paused offset.
+func (s *Session) metrics() map[string]float64 {
+	return map[string]float64{
+		"advances":       s.advances.Value(),
+		"injects":        s.injects.Value(),
+		"checkpoints":    s.checkpoints.Value(),
+		"forks":          s.forks.Value(),
+		"events":         s.events.Value(),
+		"events_dropped": s.eventsDropped.Value(),
+		"offset_ns":      float64(s.Offset()),
+	}
 }
 
 // healthz renders the /v1/healthz body. The numeric per-session fields

@@ -100,7 +100,7 @@ func (m *Manager) recoverImages(st *store.Store, rep *RecoveryReport) error {
 		if rerr != nil {
 			reason := rerr.Error()
 			rep.ImagesQuarantined[rec.Name] = reason
-			m.reg.Counter("images_quarantined").Inc()
+			m.imagesQuarantined.Inc()
 			if qerr := st.QuarantineImage(rec.Name, reason); qerr != nil {
 				return fmt.Errorf("session: quarantine image %q: %w", rec.Name, qerr)
 			}
@@ -171,7 +171,7 @@ func (m *Manager) recoverSessions(st *store.Store, rep *RecoveryReport) error {
 			m.mu.Lock()
 			m.quarantined[id] = reason
 			m.mu.Unlock()
-			m.reg.Counter("sessions_quarantined").Inc()
+			m.sessionsQuarantined.Inc()
 			if qerr := st.QuarantineJournal(id, reason); qerr != nil {
 				return fmt.Errorf("session: quarantine journal %s: %w", id, qerr)
 			}
@@ -182,7 +182,7 @@ func (m *Manager) recoverSessions(st *store.Store, rep *RecoveryReport) error {
 			}
 		default:
 			rep.SessionsRecovered = append(rep.SessionsRecovered, id)
-			m.reg.Counter("sessions_recovered").Inc()
+			m.sessionsRecovered.Inc()
 		}
 	}
 	m.mu.Lock()

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/cliconfig"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/store"
@@ -121,12 +120,15 @@ type Manager struct {
 	// drainCh is closed (once) by Drain; session advance loops yield at
 	// the next slice boundary when they observe it.
 	drainCh chan struct{}
-	// reg holds service-level counters: images built, images shared via
-	// fingerprint, sessions created/closed/recovered/failed, forks,
-	// journal records, quarantines.
-	reg *metrics.Registry
+	// Service-level counters: images built, shared via fingerprint,
+	// forked and quarantined; sessions created, closed, recovered,
+	// failed, forked and quarantined; journal records. Metrics returns
+	// them by name and /v1/metrics exports them as pisim_manager_<name>.
+	imagesCreated, imagesShared, imageForks, imagesQuarantined         obs.Counter
+	sessionsCreated, sessionsClosed, sessionsRecovered, sessionsFailed obs.Counter
+	sessionsQuarantined, sessionForks, journalRecords                  obs.Counter
 	// obs is the unified observability registry behind GET /v1/metrics:
-	// the service counters above (published under pisim_manager_), every
+	// the service counters above (exported under pisim_manager_), every
 	// live session's kernel and service series (labelled by session id),
 	// the per-session latency histograms, and the process-wide fleet
 	// warm-cache series. See obs.go.
@@ -144,15 +146,28 @@ func NewManager() *Manager {
 		sessions:    map[string]*Session{},
 		quarantined: map[string]string{},
 		drainCh:     make(chan struct{}),
-		reg:         metrics.NewRegistry(),
 		obs:         obs.NewRegistry(),
 	}
 	m.initObs()
 	return m
 }
 
-// Metrics exposes the service-level registry snapshot.
-func (m *Manager) Metrics() map[string]float64 { return m.reg.Snapshot() }
+// Metrics returns the service-level counters by name.
+func (m *Manager) Metrics() map[string]float64 {
+	return map[string]float64{
+		"images_created":       m.imagesCreated.Value(),
+		"images_shared":        m.imagesShared.Value(),
+		"image_forks":          m.imageForks.Value(),
+		"images_quarantined":   m.imagesQuarantined.Value(),
+		"sessions_created":     m.sessionsCreated.Value(),
+		"sessions_closed":      m.sessionsClosed.Value(),
+		"sessions_recovered":   m.sessionsRecovered.Value(),
+		"sessions_failed":      m.sessionsFailed.Value(),
+		"sessions_quarantined": m.sessionsQuarantined.Value(),
+		"session_forks":        m.sessionForks.Value(),
+		"journal_records":      m.journalRecords.Value(),
+	}
+}
 
 // Store returns the attached durable store, or nil.
 func (m *Manager) Store() *store.Store {
@@ -269,7 +284,7 @@ func (m *Manager) registerImage(name string, chk *scenario.Checkpoint, recipe st
 	}
 	if shared, ok := m.byFP[fp]; ok {
 		chk = shared.chk
-		m.reg.Counter("images_shared").Inc()
+		m.imagesShared.Inc()
 	}
 	img := &BaseImage{
 		Name:        name,
@@ -296,7 +311,7 @@ func (m *Manager) registerImage(name string, chk *scenario.Checkpoint, recipe st
 			return nil, fmt.Errorf("session: image %q: persist: %w", name, err)
 		}
 	}
-	m.reg.Counter("images_created").Inc()
+	m.imagesCreated.Inc()
 	return img, nil
 }
 
@@ -343,7 +358,7 @@ func (m *Manager) CreateSession(baseImage string, req *cliconfig.SpecRequest) (*
 		m.mu.Lock()
 		img.forks++
 		m.mu.Unlock()
-		m.reg.Counter("image_forks").Inc()
+		m.imageForks.Inc()
 		cfg = adoptConfig{
 			baseImage: baseImage,
 			rootReq:   img.rec.Recipe.Spec,
@@ -428,7 +443,7 @@ func (m *Manager) adopt(r *scenario.Run, cfg adoptConfig) (*Session, error) {
 			}
 			return nil, fmt.Errorf("session %s: journal: %w", id, err)
 		}
-		m.reg.Counter("journal_records").Inc()
+		m.journalRecords.Inc()
 		durOff = time.Duration(cfg.create.At)
 		traceLen, traceDigest = cfg.create.TraceLen, cfg.create.TraceDigest
 	}
@@ -441,7 +456,6 @@ func (m *Manager) adopt(r *scenario.Run, cfg adoptConfig) (*Session, error) {
 		Scenario:        r.Spec.Name,
 		BaseImage:       cfg.baseImage,
 		mgr:             m,
-		reg:             metrics.NewRegistry(),
 		rootReq:         cfg.rootReq,
 		jr:              jr,
 		cmds:            make(chan sessCmd, 16),
@@ -466,7 +480,7 @@ func (m *Manager) adopt(r *scenario.Run, cfg adoptConfig) (*Session, error) {
 	m.mu.Lock()
 	m.sessions[id] = s
 	m.mu.Unlock()
-	m.reg.Counter("sessions_created").Inc()
+	m.sessionsCreated.Inc()
 	// Every recorded trace event fans out to the session's SSE
 	// subscribers as it happens.
 	r.OnEvent = func(ev scenario.TraceEvent) {
@@ -512,5 +526,5 @@ func (m *Manager) remove(id string) {
 	m.mu.Lock()
 	delete(m.sessions, id)
 	m.mu.Unlock()
-	m.reg.Counter("sessions_closed").Inc()
+	m.sessionsClosed.Inc()
 }

@@ -234,10 +234,13 @@ func TestRecipeRebuildReproducesRun(t *testing.T) {
 	}
 
 	// The same recipe as written by a store from before the sharding
-	// knobs were retired: testdata/legacy-recipe.json still carries
-	// their three wire fields. Decoding ignores them, so data
-	// directories from that era still recover and verify against the
-	// digests they journaled.
+	// knobs and the kernel twins left the wire:
+	// testdata/legacy-recipe.json still carries their eight fields
+	// (sharded_advance, shard_workers, shards, solve_workers,
+	// serial_solve, eager_advance, classic_heap,
+	// disable_route_synthesis). Decoding ignores them, so data
+	// directories and checkpoint files from that era still recover and
+	// verify against the digests they journaled.
 	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-recipe.json"))
 	if err != nil {
 		t.Fatal(err)
