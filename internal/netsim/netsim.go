@@ -50,17 +50,30 @@ func (k NodeKind) String() string {
 type Node struct {
 	ID   NodeID
 	Kind NodeKind
+	// Index is the node's dense position in creation order (0, 1, 2,
+	// ...). Nodes are never removed, so an index is stable for the
+	// network's lifetime; NodeAt and LinksAt resolve it.
+	Index int32
 }
 
 // Link is one direction of a cable: a fixed-capacity, fixed-latency pipe.
 // Capacity and Latency are the effective values after any Shaping; the
 // nominal cable parameters are retained so shaping can be cleared.
 type Link struct {
+	// The fields every routing probe reads lead the struct, so a walk
+	// over an adjacency list touches one cache line per link. from and
+	// to are the endpoints' dense node indices; toKind caches the
+	// destination node's kind; reverse is the opposite direction of the
+	// same cable (wired together, removed together).
+	from, to int32
+	up       bool
+	toKind   NodeKind
+	reverse  *Link
+
 	From     NodeID
 	To       NodeID
 	Capacity float64 // bits per second (effective)
 	Latency  time.Duration
-	up       bool
 	net      *Network
 	flows    map[*Flow]struct{}
 	// Nominal (unshaped) cable parameters.
@@ -70,9 +83,6 @@ type Link struct {
 	// BitsCarried accumulates the total traffic volume for utilisation
 	// reporting and the congestion experiments.
 	bitsCarried float64
-	// toKind caches the destination node's kind so routing loops skip a
-	// node-map lookup per edge.
-	toKind NodeKind
 	// grp is the telemetry group this link reports under (nil until
 	// tagged): the per-rack traffic sub-total, mirroring the energy
 	// layer's per-rack sub-meters.
@@ -92,6 +102,12 @@ type Link struct {
 
 // Up reports whether the link is in service.
 func (l *Link) Up() bool { return l.up }
+
+// Reverse returns the opposite direction of the same duplex cable.
+func (l *Link) Reverse() *Link { return l.reverse }
+
+// ToIndex returns the destination node's dense index.
+func (l *Link) ToIndex() int32 { return l.to }
 
 // FlowCount returns the number of flows currently routed over the link.
 func (l *Link) FlowCount() int { return len(l.flows) }
@@ -288,14 +304,18 @@ func (f *Flow) PathLatency() time.Duration {
 // what makes 10,000-node fleets feasible.
 type Network struct {
 	engine *sim.Engine
-	nodes  map[NodeID]*Node
-	links  map[linkKey]*Link
+	// nodes resolves names at the API edge; nodeList holds the same
+	// nodes by dense index (creation order).
+	nodes    map[NodeID]*Node
+	nodeList []*Node
+	links    map[linkKey]*Link
 	// linkList iterates links in creation order (deterministic, no map
 	// ranging on the hot path). Removed links are filtered out in place.
 	linkList []*Link
-	// adjacency holds each node's outgoing links in creation order, so
-	// routing explores the graph without ranging over the link map.
-	adjacency map[NodeID][]*Link
+	// adjacency holds each node's outgoing links in creation order,
+	// indexed by node, so routing explores the graph without ranging
+	// over the link map.
+	adjacency [][]*Link
 	// flowOrder iterates live flows in admission order; ended flows are
 	// compacted out lazily. Determinism of completion-event sequence
 	// numbers depends on this ordering.
@@ -374,7 +394,11 @@ type solveScratch struct {
 	changed []*Flow
 }
 
-type linkKey struct{ from, to NodeID }
+// linkKey is a directed link's endpoint index pair, packed so the link
+// map hashes one machine word instead of two names.
+type linkKey uint64
+
+func keyOf(from, to int32) linkKey { return linkKey(uint64(uint32(from))<<32 | uint64(uint32(to))) }
 
 // Errors returned by Network operations.
 var (
@@ -393,7 +417,6 @@ func New(engine *sim.Engine) *Network {
 		engine:      engine,
 		nodes:       make(map[NodeID]*Node),
 		links:       make(map[linkKey]*Link),
-		adjacency:   make(map[NodeID][]*Link),
 		lastAdvance: -1,
 	}
 	n.flushFn = n.flush
@@ -498,7 +521,10 @@ func (n *Network) AddNode(id NodeID, kind NodeKind) error {
 	if _, dup := n.nodes[id]; dup {
 		return fmt.Errorf("%w: %s", ErrNodeExists, id)
 	}
-	n.nodes[id] = &Node{ID: id, Kind: kind}
+	node := &Node{ID: id, Kind: kind, Index: int32(len(n.nodeList))}
+	n.nodes[id] = node
+	n.nodeList = append(n.nodeList, node)
+	n.adjacency = append(n.adjacency, nil)
 	n.topoEpoch++
 	return nil
 }
@@ -506,42 +532,53 @@ func (n *Network) AddNode(id NodeID, kind NodeKind) error {
 // Node returns the named device, or nil.
 func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
 
+// NodeAt returns the device with dense index i (see Node.Index).
+func (n *Network) NodeAt(i int32) *Node { return n.nodeList[i] }
+
 // NodeCount returns the number of registered devices.
 func (n *Network) NodeCount() int { return len(n.nodes) }
 
 // AddDuplexLink wires a full-duplex cable between a and b: two directed
 // links, each with the given capacity and latency.
 func (n *Network) AddDuplexLink(a, b NodeID, capacityBps float64, latency time.Duration) error {
-	if _, ok := n.nodes[a]; !ok {
+	na, nb := n.nodes[a], n.nodes[b]
+	if na == nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchNode, a)
 	}
-	if _, ok := n.nodes[b]; !ok {
+	if nb == nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchNode, b)
 	}
 	if capacityBps <= 0 {
 		return fmt.Errorf("netsim: non-positive capacity on link %s-%s", a, b)
 	}
-	for _, k := range []linkKey{{a, b}, {b, a}} {
-		if _, dup := n.links[k]; dup {
-			return fmt.Errorf("%w: %s->%s", ErrLinkExists, k.from, k.to)
+	ends := [2][2]*Node{{na, nb}, {nb, na}}
+	for _, e := range ends {
+		if _, dup := n.links[keyOf(e[0].Index, e[1].Index)]; dup {
+			return fmt.Errorf("%w: %s->%s", ErrLinkExists, e[0].ID, e[1].ID)
 		}
 	}
-	for _, k := range []linkKey{{a, b}, {b, a}} {
+	var pair [2]*Link
+	for i, e := range ends {
+		from, to := e[0], e[1]
 		l := &Link{
-			From: k.from, To: k.to,
+			From: from.ID, To: to.ID,
+			from: from.Index, to: to.Index,
 			Capacity: capacityBps, Latency: latency,
 			baseCapacity: capacityBps, baseLatency: latency,
 			up: true, net: n, flows: make(map[*Flow]struct{}),
-			toKind: n.nodes[k.to].Kind,
+			toKind: to.Kind,
 		}
+		k := keyOf(from.Index, to.Index)
 		n.links[k] = l
 		n.linkList = append(n.linkList, l)
-		n.adjacency[k.from] = append(n.adjacency[k.from], l)
+		n.adjacency[from.Index] = append(n.adjacency[from.Index], l)
 		if id, ok := n.removedTags[k]; ok {
 			delete(n.removedTags, k)
 			n.tagLink(l, id)
 		}
+		pair[i] = l
 	}
+	pair[0].reverse, pair[1].reverse = pair[1], pair[0]
 	n.topoEpoch++
 	return nil
 }
@@ -563,10 +600,11 @@ type Shaping struct {
 // ShapeLink applies shaping to both directions of the cable between a and
 // b, replacing any previous shaping. Live flows re-share immediately.
 func (n *Network) ShapeLink(a, b NodeID, s Shaping) error {
-	la, lb := n.links[linkKey{a, b}], n.links[linkKey{b, a}]
-	if la == nil || lb == nil {
+	la := n.Link(a, b)
+	if la == nil {
 		return fmt.Errorf("%w: %s-%s", ErrNoSuchLink, a, b)
 	}
+	lb := la.reverse
 	if s.Loss < 0 || s.Loss >= 1 {
 		return fmt.Errorf("netsim: loss %v outside [0,1)", s.Loss)
 	}
@@ -590,10 +628,11 @@ func (n *Network) ShapeLink(a, b NodeID, s Shaping) error {
 // ClearShaping restores the nominal parameters of the cable between a and
 // b.
 func (n *Network) ClearShaping(a, b NodeID) error {
-	la, lb := n.links[linkKey{a, b}], n.links[linkKey{b, a}]
-	if la == nil || lb == nil {
+	la := n.Link(a, b)
+	if la == nil {
 		return fmt.Errorf("%w: %s-%s", ErrNoSuchLink, a, b)
 	}
+	lb := la.reverse
 	n.advance()
 	for _, l := range []*Link{la, lb} {
 		l.Capacity = l.baseCapacity
@@ -611,13 +650,13 @@ func (n *Network) ClearShaping(a, b NodeID) error {
 // ending any flows that traversed it ("re-cabling" the testbed). It is an
 // error if no such cable exists.
 func (n *Network) RemoveDuplexLink(a, b NodeID) error {
-	ka, kb := linkKey{a, b}, linkKey{b, a}
-	if _, ok := n.links[ka]; !ok {
+	la := n.Link(a, b)
+	if la == nil {
 		return fmt.Errorf("%w: %s->%s", ErrNoSuchLink, a, b)
 	}
 	n.advance()
-	for _, k := range []linkKey{ka, kb} {
-		l := n.links[k]
+	for _, l := range [2]*Link{la, la.reverse} {
+		k := keyOf(l.from, l.to)
 		n.endLinkFlows(l, EndLinkDown)
 		if l.grp != nil {
 			// A removed link takes its carried volume out of the
@@ -630,17 +669,17 @@ func (n *Network) RemoveDuplexLink(a, b NodeID) error {
 			n.untagLink(l)
 		}
 		delete(n.links, k)
-		adj := n.adjacency[k.from][:0]
-		for _, al := range n.adjacency[k.from] {
+		adj := n.adjacency[l.from][:0]
+		for _, al := range n.adjacency[l.from] {
 			if al != l {
 				adj = append(adj, al)
 			}
 		}
-		n.adjacency[k.from] = adj
+		n.adjacency[l.from] = adj
 	}
 	kept := n.linkList[:0]
 	for _, l := range n.linkList {
-		if n.links[linkKey{l.From, l.To}] == l {
+		if n.links[keyOf(l.from, l.to)] == l {
 			kept = append(kept, l)
 		}
 	}
@@ -671,22 +710,19 @@ func (n *Network) endLinkFlows(l *Link, reason EndReason) {
 }
 
 // Link returns the directed link from a to b, or nil.
-func (n *Network) Link(a, b NodeID) *Link { return n.links[linkKey{a, b}] }
-
-// Links returns all directed links (shared structs; treat as read-only).
-func (n *Network) Links() []*Link {
-	out := make([]*Link, 0, len(n.links))
-	for _, l := range n.links {
-		out = append(out, l)
+func (n *Network) Link(a, b NodeID) *Link {
+	na, nb := n.nodes[a], n.nodes[b]
+	if na == nil || nb == nil {
+		return nil
 	}
-	return out
+	return n.links[keyOf(na.Index, nb.Index)]
 }
 
 // Neighbors returns the IDs reachable over one up link from id, in link
 // creation order (deterministic).
 func (n *Network) Neighbors(id NodeID) []NodeID {
 	var out []NodeID
-	for _, l := range n.adjacency[id] {
+	for _, l := range n.NeighborLinks(id) {
 		if l.up {
 			out = append(out, l.To)
 		}
@@ -698,8 +734,16 @@ func (n *Network) Neighbors(id NodeID) []NodeID {
 // down links (callers filter with Up). The slice is shared — read-only.
 // Routing uses it to walk the graph with zero per-node allocation.
 func (n *Network) NeighborLinks(id NodeID) []*Link {
-	return n.adjacency[id]
+	node := n.nodes[id]
+	if node == nil {
+		return nil
+	}
+	return n.adjacency[node.Index]
 }
+
+// LinksAt is NeighborLinks by dense node index: the outgoing links of
+// node i in creation order, shared and read-only.
+func (n *Network) LinksAt(i int32) []*Link { return n.adjacency[i] }
 
 // DstKind returns the kind of the link's destination node (cached at
 // wiring time for the routing hot path).
@@ -709,11 +753,11 @@ func (l *Link) DstKind() NodeKind { return l.toKind }
 // link ends every flow that traverses either direction with EndLinkDown —
 // the "link down" failure-injection hook.
 func (n *Network) SetLinkUp(a, b NodeID, up bool) error {
-	ka, kb := linkKey{a, b}, linkKey{b, a}
-	la, lb := n.links[ka], n.links[kb]
-	if la == nil || lb == nil {
+	la := n.Link(a, b)
+	if la == nil {
 		return fmt.Errorf("%w: %s-%s", ErrNoSuchLink, a, b)
 	}
+	lb := la.reverse
 	n.advance()
 	la.up, lb.up = up, up
 	if !up {
@@ -769,20 +813,24 @@ func (n *Network) resolvePath(path []NodeID) ([]*Link, error) {
 	if len(path) < 2 {
 		return nil, fmt.Errorf("%w: need at least 2 hops, got %d", ErrBadPath, len(path))
 	}
-	seen := make(map[NodeID]struct{}, len(path))
+	seen := make(map[int32]struct{}, len(path))
 	links := make([]*Link, 0, len(path)-1)
+	var prev int32
 	for i, hop := range path {
-		if _, ok := n.nodes[hop]; !ok {
+		node := n.nodes[hop]
+		if node == nil {
 			return nil, fmt.Errorf("%w: %s", ErrNoSuchNode, hop)
 		}
-		if _, dup := seen[hop]; dup {
+		if _, dup := seen[node.Index]; dup {
 			return nil, fmt.Errorf("%w: hop %s repeats", ErrBadPath, hop)
 		}
-		seen[hop] = struct{}{}
+		seen[node.Index] = struct{}{}
+		from := prev
+		prev = node.Index
 		if i == 0 {
 			continue
 		}
-		l := n.links[linkKey{path[i-1], hop}]
+		l := n.links[keyOf(from, node.Index)]
 		if l == nil {
 			return nil, fmt.Errorf("%w: %s->%s", ErrNoSuchLink, path[i-1], hop)
 		}

@@ -8,12 +8,14 @@
 package sdn
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -141,6 +143,16 @@ type Controller struct {
 	// route cache.
 	uplinkCache map[netsim.NodeID]*netsim.Link
 	uplinkEpoch uint64
+
+	// Cache-miss scratch, reused across misses so a cold route costs no
+	// per-node allocation: the synthesis node sets and lists, the DAG
+	// builder, and Dijkstra's dense per-node state.
+	inB, s2, s3, core nodeSet
+	coreSlot          []int32
+	s2list, mids, pB  []int32
+	usedCore, usedAgg []int32
+	build             dagBuilder
+	dj                dijkstraScratch
 }
 
 // pairKey identifies one cached routing question.
@@ -151,11 +163,9 @@ type pairKey struct{ src, dst netsim.NodeID }
 type routeEntry struct {
 	key   pairKey
 	epoch uint64
-	// parents holds, per reached node, the equal-cost predecessors in
-	// sorted order (ready for the deterministic ECMP walk-back).
-	parents map[netsim.NodeID][]netsim.NodeID
-	// visited bounds the walk-back loop guard (nodes with a distance).
-	visited int
+	// src and dst are the pair's dense node indices.
+	src, dst int32
+	dag      dag
 	// shortest is the tiebreak-0 path, shared across callers: treat as
 	// read-only. Returning it is what makes the cache hit path
 	// allocation-free.
@@ -163,6 +173,87 @@ type routeEntry struct {
 	// prev/next thread the LRU list; nil at the respective end.
 	prev, next *routeEntry
 }
+
+// dag is a shortest-path predecessor DAG keyed by dense node index: for
+// each node on some shortest path to dst, its equal-cost parents sorted
+// by node name (the order the deterministic ECMP walk-back draws from),
+// as a span of one flat arena. Neither the map nor the arena holds a
+// pointer, so a cached DAG costs the garbage collector nothing to scan.
+type dag struct {
+	spans map[int32]span
+	arena []int32
+	// visited bounds the walk-back loop guard (nodes with a distance).
+	visited int
+}
+
+// span locates one parent list in a dag's arena.
+type span struct{ off, n int32 }
+
+// parents returns node i's parent list (nil when i has none).
+func (d *dag) parents(i int32) []int32 {
+	sp, ok := d.spans[i]
+	if !ok {
+		return nil
+	}
+	return d.arena[sp.off : sp.off+sp.n]
+}
+
+// dagBuilder accumulates a DAG's parent lists in reusable scratch; dag
+// freezes them into an exactly-sized dag.
+type dagBuilder struct {
+	nodes []int32
+	spans []span
+	arena []int32
+}
+
+func (b *dagBuilder) reset() {
+	b.nodes, b.spans, b.arena = b.nodes[:0], b.spans[:0], b.arena[:0]
+}
+
+// add records node's parents (already sorted by name).
+func (b *dagBuilder) add(node int32, parents ...int32) {
+	off := len(b.arena)
+	b.arena = append(b.arena, parents...)
+	b.addSpan(node, off)
+}
+
+// addSpan records node's parents as the arena tail from off, for lists
+// appended to the arena in place.
+func (b *dagBuilder) addSpan(node int32, off int) {
+	b.nodes = append(b.nodes, node)
+	b.spans = append(b.spans, span{int32(off), int32(len(b.arena) - off)})
+}
+
+// dag freezes the builder. A node recorded twice keeps its later list.
+func (b *dagBuilder) dag() dag {
+	spans := make(map[int32]span, len(b.nodes))
+	for i, node := range b.nodes {
+		spans[node] = b.spans[i]
+	}
+	return dag{spans: spans, arena: slices.Clone(b.arena), visited: len(spans) + 1}
+}
+
+// nodeSet is a set of dense node indices that empties in O(1): members
+// carry the current generation stamp, and reset advances it.
+type nodeSet struct {
+	gen   uint32
+	stamp []uint32
+}
+
+// reset empties the set and sizes it for n nodes.
+func (s *nodeSet) reset(n int) {
+	if len(s.stamp) < n {
+		s.stamp = make([]uint32, n)
+	}
+	s.gen++
+	if s.gen == 0 {
+		clear(s.stamp)
+		s.gen = 1
+	}
+}
+
+func (s *nodeSet) has(i int32) bool { return s.stamp[i] == s.gen }
+func (s *nodeSet) add(i int32)      { s.stamp[i] = s.gen }
 
 // NewController returns a controller over the given network. Switches
 // must be registered before flows are admitted.
@@ -414,35 +505,48 @@ func (c *Controller) PathFor(src, dst netsim.NodeID, policy Policy, key uint64) 
 		if tiebreak == 0 {
 			return e.shortest, nil
 		}
-		return materialisePath(e.parents, src, dst, tiebreak, e.visited)
+		return c.materialisePath(&e.dag, e.src, e.dst, tiebreak)
 	}
 	c.cacheMisses++
-	parents, visited, tier, ok := c.synthDAG(src, dst)
+	sn, dn, err := c.endpoints(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	d, tier, ok := c.synthDAG(sn, dn)
 	if ok {
 		c.synthHits++
 		c.synthTierHits[tier]++
-	} else {
-		var err error
-		parents, visited, err = c.shortestDAG(src, dst, weightHops)
-		if err != nil {
-			return nil, err
-		}
+	} else if d, err = c.shortestDAG(sn, dn, weightHops); err != nil {
+		return nil, err
 	}
-	shortest, err := materialisePath(parents, src, dst, 0, visited)
+	shortest, err := c.materialisePath(&d, sn.Index, dn.Index, 0)
 	if err != nil {
 		return nil, err
 	}
 	if e := c.routeCache[k]; e != nil {
 		// Stale entry from an earlier epoch: refresh in place.
-		e.epoch, e.parents, e.visited, e.shortest = epoch, parents, visited, shortest
+		e.epoch, e.dag, e.shortest = epoch, d, shortest
 		c.lruTouch(e)
 	} else {
-		c.lruInsert(&routeEntry{key: k, epoch: epoch, parents: parents, visited: visited, shortest: shortest})
+		c.lruInsert(&routeEntry{key: k, epoch: epoch, src: sn.Index, dst: dn.Index, dag: d, shortest: shortest})
 	}
 	if tiebreak == 0 {
 		return shortest, nil
 	}
-	return materialisePath(parents, src, dst, tiebreak, visited)
+	return c.materialisePath(&d, sn.Index, dn.Index, tiebreak)
+}
+
+// endpoints resolves a routing question's hosts, refusing unknown nodes
+// and src == dst.
+func (c *Controller) endpoints(src, dst netsim.NodeID) (*netsim.Node, *netsim.Node, error) {
+	sn, dn := c.net.Node(src), c.net.Node(dst)
+	if sn == nil || dn == nil {
+		return nil, nil, fmt.Errorf("%w: %s -> %s (unknown node)", ErrNoPath, src, dst)
+	}
+	if src == dst {
+		return nil, nil, fmt.Errorf("%w: src equals dst %s", ErrNoPath, src)
+	}
+	return sn, dn, nil
 }
 
 // soleUplink returns the single up link leaving host h, or nil when h
@@ -486,10 +590,12 @@ func (c *Controller) scanSoleUplink(h netsim.NodeID) *netsim.Link {
 	return up
 }
 
-// upLink reports the directed link a→b when it exists and is up.
-func (c *Controller) upLink(a, b netsim.NodeID) bool {
-	l := c.net.Link(a, b)
-	return l != nil && l.Up()
+// sortByName orders node indices by node name — the order shortestDAG's
+// parent lists take, which the ECMP walk-back draws from.
+func (c *Controller) sortByName(xs []int32) {
+	slices.SortFunc(xs, func(a, b int32) int {
+		return cmp.Compare(c.net.NodeAt(a).ID, c.net.NodeAt(b).ID)
+	})
 }
 
 // synthDAG is the structured route synthesis fast path: for host pairs
@@ -530,60 +636,65 @@ func (c *Controller) upLink(a, b netsim.NodeID) bool {
 // the fast path and falls back (ok=false), e.g. a multi-root fabric
 // whose agg tier is down and detours via the gateway.
 //
-// Link state is read live (l.Up), so a synthesised entry is exactly as
-// valid as a Dijkstra one for the topology epoch it is cached under.
-func (c *Controller) synthDAG(src, dst netsim.NodeID) (map[netsim.NodeID][]netsim.NodeID, int, synthTier, bool) {
-	if c.cfg.DisableRouteSynthesis || src == dst {
-		return nil, 0, 0, false
+// Every "x→b up?" probe walks b's own adjacency through Reverse: duplex
+// wiring puts the return leg of every link into b in b's list, so no
+// probe hashes a link key. Link state is read live (l.Up), so a
+// synthesised entry is exactly as valid as a Dijkstra one for the
+// topology epoch it is cached under.
+func (c *Controller) synthDAG(src, dst *netsim.Node) (dag, synthTier, bool) {
+	if c.cfg.DisableRouteSynthesis {
+		return dag{}, 0, false
 	}
-	upA := c.soleUplink(src)
-	upB := c.soleUplink(dst)
+	upA := c.soleUplink(src.ID)
+	upB := c.soleUplink(dst.ID)
 	if upA == nil || upB == nil {
-		return nil, 0, 0, false
+		return dag{}, 0, false
 	}
-	eA, eB := upA.To, upB.To
-	// The return legs of the duplex cables (SetLinkUp fails both
-	// directions together, but verify — the DAG walks src→dst).
-	if !c.upLink(eB, dst) {
-		return nil, 0, 0, false
+	eA, eB := upA.ToIndex(), upB.ToIndex()
+	// The return leg of dst's cable (SetLinkUp fails both directions
+	// together, but verify — the DAG walks src→dst).
+	if !upB.Reverse().Up() {
+		return dag{}, 0, false
 	}
+	b := &c.build
+	b.reset()
 	if eA == eB {
-		parents := map[netsim.NodeID][]netsim.NodeID{
-			dst: {eA},
-			eA:  {src},
-		}
-		return parents, len(parents) + 1, tierSameEdge, true
+		b.add(dst.Index, eA)
+		b.add(eA, src.Index)
+		return b.dag(), tierSameEdge, true
 	}
-	if c.upLink(eA, eB) {
-		parents := map[netsim.NodeID][]netsim.NodeID{
-			dst: {eB},
-			eB:  {eA},
-			eA:  {src},
-		}
-		return parents, len(parents) + 1, tierAdjacent, true
-	}
-	var mids []netsim.NodeID
-	for _, l := range c.net.NeighborLinks(eA) {
-		if !l.Up() || l.DstKind() != netsim.KindSwitch {
-			continue
-		}
-		if c.upLink(l.To, eB) {
-			mids = append(mids, l.To)
+	// eB's live in-neighbours: the adjacent test and the mid and
+	// cross-pod guards all ask "x→eB up?".
+	c.inB.reset(c.net.NodeCount())
+	for _, l := range c.net.LinksAt(eB) {
+		if l.Reverse().Up() {
+			c.inB.add(l.ToIndex())
 		}
 	}
+	if c.inB.has(eA) {
+		b.add(dst.Index, eB)
+		b.add(eB, eA)
+		b.add(eA, src.Index)
+		return b.dag(), tierAdjacent, true
+	}
+	mids := c.mids[:0]
+	for _, l := range c.net.LinksAt(eA) {
+		if l.Up() && l.DstKind() == netsim.KindSwitch && c.inB.has(l.ToIndex()) {
+			mids = append(mids, l.ToIndex())
+		}
+	}
+	c.mids = mids
 	if len(mids) == 0 {
-		return c.crossPodDAG(src, dst, eA, eB)
+		return c.crossPodDAG(src.Index, dst.Index, eA, eB)
 	}
-	sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-	parents := map[netsim.NodeID][]netsim.NodeID{
-		dst: {eB},
-		eB:  mids,
-		eA:  {src},
-	}
+	c.sortByName(mids)
+	b.add(dst.Index, eB)
+	b.add(eB, mids...)
+	b.add(eA, src.Index)
 	for _, m := range mids {
-		parents[m] = []netsim.NodeID{eA}
+		b.add(m, eA)
 	}
-	return parents, len(parents) + 1, tierOneMid, true
+	return b.dag(), tierOneMid, true
 }
 
 // crossPodDAG synthesizes the fourth structured shape: dst at exactly
@@ -591,7 +702,7 @@ func (c *Controller) synthDAG(src, dst netsim.NodeID) (map[netsim.NodeID][]netsi
 // cross-pod case of a k-ary fat-tree. It is entered only from synthDAG
 // with the first three cases already excluded: soleUplinks exist on
 // both sides, eB→dst is up, eA ≠ eB, eA→eB is not up, and no single
-// mid connects them.
+// mid connects them. c.inB holds eB's live in-neighbours.
 //
 // Construction, mirroring the BFS layers Dijkstra would settle:
 //
@@ -601,7 +712,7 @@ func (c *Controller) synthDAG(src, dst netsim.NodeID) (map[netsim.NodeID][]netsi
 //	     Cb = S3 ∩ upNbr(b) is non-empty       (eB's distance-4 parents)
 //
 // and the DAG is dst←eB←P, each b∈P←Cb, each used core←its S2 aggs,
-// each used agg←eA←src, every parent list sorted ascending.
+// each used agg←eA←src, every parent list sorted by name.
 //
 // Proof that this is exactly shortestDAG's answer when it returns
 // ok=true (relying, like the other cases, on hosts never relaying and
@@ -627,102 +738,134 @@ func (c *Controller) synthDAG(src, dst netsim.NodeID) (map[netsim.NodeID][]netsi
 //     b's, and the used cores' parents are exactly their up S2
 //     neighbours. parents(dst) = {eB} because dst's sole up link
 //     pairs with the only live link into dst (SetLinkUp fails both
-//     directions of a cable together). Sorting each list ascending
+//     directions of a cable together). Sorting each list by name
 //     reproduces shortestDAG's post-sort, so materialisePath draws
 //     identical ECMP tiebreaks no matter which path built the entry.
-func (c *Controller) crossPodDAG(src, dst, eA, eB netsim.NodeID) (map[netsim.NodeID][]netsim.NodeID, int, synthTier, bool) {
-	s2 := map[netsim.NodeID]bool{}
-	var s2list []netsim.NodeID
-	for _, l := range c.net.NeighborLinks(eA) {
+func (c *Controller) crossPodDAG(src, dst, eA, eB int32) (dag, synthTier, bool) {
+	n := c.net.NodeCount()
+	c.s2.reset(n)
+	c.s3.reset(n)
+	s2list := c.s2list[:0]
+	for _, l := range c.net.LinksAt(eA) {
 		if !l.Up() || l.DstKind() != netsim.KindSwitch {
 			continue
 		}
-		s2[l.To] = true
-		s2list = append(s2list, l.To)
+		c.s2.add(l.ToIndex())
+		s2list = append(s2list, l.ToIndex())
 	}
-	s3 := map[netsim.NodeID]bool{}
+	c.s2list = s2list
+	s3Empty := true
 	for _, a := range s2list {
-		for _, l := range c.net.NeighborLinks(a) {
-			if !l.Up() || l.DstKind() != netsim.KindSwitch {
+		for _, l := range c.net.LinksAt(a) {
+			x := l.ToIndex()
+			if !l.Up() || l.DstKind() != netsim.KindSwitch || x == eA || c.s2.has(x) {
 				continue
 			}
-			if l.To == eA || s2[l.To] {
-				continue
+			// Guard: a live S3→eB link would settle eB at distance 4 —
+			// a 5-hop DAG this case does not model. Fall back to
+			// Dijkstra.
+			if c.inB.has(x) {
+				return dag{}, 0, false
 			}
-			s3[l.To] = true
+			c.s3.add(x)
+			s3Empty = false
 		}
 	}
-	if len(s3) == 0 {
-		return nil, 0, 0, false
+	if s3Empty {
+		return dag{}, 0, false
 	}
-	// Guard: a live S3→eB link would settle eB at distance 4 — a
-	// 5-hop DAG this case does not model. Fall back to Dijkstra.
-	for m := range s3 {
-		if c.upLink(m, eB) {
-			return nil, 0, 0, false
-		}
+	// P(eB): enumerate eB's adjacency (duplex creation guarantees every
+	// link into eB has its return leg here), keep switches with a live
+	// leg towards eB, and compute each candidate's distance-3 parent set
+	// Cb from its own adjacency list, straight into the arena.
+	b := &c.build
+	c.core.reset(n)
+	if len(c.coreSlot) < n {
+		c.coreSlot = make([]int32, n)
 	}
-	// P(eB): enumerate eB's adjacency (duplex creation guarantees
-	// every link into eB has its return leg here), keep switches with
-	// a live leg towards eB, and compute each candidate's distance-3
-	// parent set Cb from its own adjacency list.
-	parents := map[netsim.NodeID][]netsim.NodeID{}
-	var pB []netsim.NodeID
-	usedCore := map[netsim.NodeID]bool{}
-	for _, l := range c.net.NeighborLinks(eB) {
-		b := l.To
-		if l.DstKind() != netsim.KindSwitch || !c.upLink(b, eB) {
+	pB, usedCore := c.pB[:0], c.usedCore[:0]
+	for _, l := range c.net.LinksAt(eB) {
+		p := l.ToIndex()
+		if l.DstKind() != netsim.KindSwitch || !l.Reverse().Up() {
 			continue
 		}
-		var cb []netsim.NodeID
-		for _, lb := range c.net.NeighborLinks(b) {
-			if s3[lb.To] && c.upLink(lb.To, b) {
-				cb = append(cb, lb.To)
+		off := len(b.arena)
+		for _, lp := range c.net.LinksAt(p) {
+			if x := lp.ToIndex(); c.s3.has(x) && lp.Reverse().Up() {
+				b.arena = append(b.arena, x)
 			}
 		}
+		cb := b.arena[off:]
 		if len(cb) == 0 {
-			continue // dist(b) > 4: not a parent of eB
+			continue // dist(p) > 4: not a parent of eB
 		}
-		sort.Slice(cb, func(i, j int) bool { return cb[i] < cb[j] })
-		parents[b] = cb
-		pB = append(pB, b)
-		for _, cn := range cb {
-			usedCore[cn] = true
-		}
-	}
-	if len(pB) == 0 {
-		return nil, 0, 0, false
-	}
-	sort.Slice(pB, func(i, j int) bool { return pB[i] < pB[j] })
-	// The used cores' parents, inverted: one pass over the S2 aggs'
-	// adjacency lists instead of one pass per core (a fat-tree core
-	// sees every pod; its parent agg is found from the src side).
-	usedAgg := map[netsim.NodeID]bool{}
-	for _, a := range s2list {
-		for _, l := range c.net.NeighborLinks(a) {
-			if !l.Up() || !usedCore[l.To] {
-				continue
+		c.sortByName(cb)
+		b.addSpan(p, off)
+		pB = append(pB, p)
+		for _, x := range cb {
+			if !c.core.has(x) {
+				c.core.add(x)
+				c.coreSlot[x] = 0
+				usedCore = append(usedCore, x)
 			}
-			parents[l.To] = append(parents[l.To], a)
-			usedAgg[a] = true
 		}
 	}
-	for cn := range usedCore {
-		ps := parents[cn]
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+	c.pB, c.usedCore = pB, usedCore
+	if len(pB) == 0 {
+		return dag{}, 0, false
 	}
-	for a := range usedAgg {
-		parents[a] = []netsim.NodeID{eA}
+	c.sortByName(pB)
+	// The used cores' parents, inverted: passes over the S2 aggs'
+	// adjacency lists instead of one pass per core (a fat-tree core sees
+	// every pod; its parent agg is found from the src side). The first
+	// pass counts each core's parents, then each core gets its arena
+	// section, and the second pass fills the sections in S2 order.
+	for _, a := range s2list {
+		for _, l := range c.net.LinksAt(a) {
+			if x := l.ToIndex(); l.Up() && c.core.has(x) {
+				c.coreSlot[x]++
+			}
+		}
 	}
-	parents[eA] = []netsim.NodeID{src}
-	parents[eB] = pB
-	parents[dst] = []netsim.NodeID{eB}
-	return parents, len(parents) + 1, tierCrossPod, true
+	for _, x := range usedCore {
+		cnt := int(c.coreSlot[x])
+		c.coreSlot[x] = int32(len(b.arena))
+		b.arena = append(b.arena, make([]int32, cnt)...)
+		b.addSpan(x, len(b.arena)-cnt)
+	}
+	usedAgg := c.usedAgg[:0]
+	for _, a := range s2list {
+		used := false
+		for _, l := range c.net.LinksAt(a) {
+			if x := l.ToIndex(); l.Up() && c.core.has(x) {
+				b.arena[c.coreSlot[x]] = a
+				c.coreSlot[x]++
+				used = true
+			}
+		}
+		if used {
+			usedAgg = append(usedAgg, a)
+		}
+	}
+	c.usedAgg = usedAgg
+	for i := len(b.nodes) - len(usedCore); i < len(b.nodes); i++ {
+		sp := b.spans[i]
+		c.sortByName(b.arena[sp.off : sp.off+sp.n])
+	}
+	for _, a := range usedAgg {
+		b.add(a, eA)
+	}
+	b.add(eA, src)
+	b.add(eB, pB...)
+	b.add(dst, eB)
+	return b.dag(), tierCrossPod, true
 }
 
-// pqItem is a priority-queue element for Dijkstra.
+// pqItem is a priority-queue element for Dijkstra; name breaks distance
+// ties.
 type pqItem struct {
-	node netsim.NodeID
+	node int32
+	name netsim.NodeID
 	dist float64
 }
 
@@ -733,98 +876,139 @@ func (q pq) Less(i, j int) bool {
 	if q[i].dist != q[j].dist {
 		return q[i].dist < q[j].dist
 	}
-	return q[i].node < q[j].node
+	return q[i].name < q[j].name
 }
 func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 func (q *pq) Push(x any)   { *q = append(*q, x.(pqItem)) }
 func (q *pq) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
-func (q pq) empty() bool   { return len(q) == 0 }
+
+// dijkstraScratch is shortestDAG's dense per-node state, reused across
+// runs: a node's dist and par are valid only while reached holds it.
+type dijkstraScratch struct {
+	reached, done, emitted nodeSet
+	dist                   []float64
+	par                    [][]int32
+	q                      pq
+	stack                  []int32
+}
 
 // dijkstra computes a least-weight path keeping all equal-cost parents,
 // then materialises one path choosing among parents by tiebreak hash
 // (deterministic ECMP). Uncached — the congestion-aware policy and the
 // cache-miss path both come through here via shortestDAG.
 func (c *Controller) dijkstra(src, dst netsim.NodeID, w weightFunc, tiebreak uint64) ([]netsim.NodeID, error) {
-	parents, visited, err := c.shortestDAG(src, dst, w)
+	sn, dn, err := c.endpoints(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	return materialisePath(parents, src, dst, tiebreak, visited)
+	d, err := c.shortestDAG(sn, dn, w)
+	if err != nil {
+		return nil, err
+	}
+	return c.materialisePath(&d, sn.Index, dn.Index, tiebreak)
 }
 
-// shortestDAG runs Dijkstra from src until dst is settled, returning the
-// equal-cost predecessor DAG (parent lists pre-sorted for the ECMP
-// walk-back) and the number of nodes given a distance (the walk-back
-// loop bound). Neighbours are explored over the network's creation-order
-// adjacency lists — deterministic without sorting, and without the
-// per-edge link-map lookups the old implementation paid.
-func (c *Controller) shortestDAG(src, dst netsim.NodeID, w weightFunc) (map[netsim.NodeID][]netsim.NodeID, int, error) {
-	if c.net.Node(src) == nil || c.net.Node(dst) == nil {
-		return nil, 0, fmt.Errorf("%w: %s -> %s (unknown node)", ErrNoPath, src, dst)
-	}
-	if src == dst {
-		return nil, 0, fmt.Errorf("%w: src equals dst %s", ErrNoPath, src)
-	}
+// shortestDAG runs Dijkstra from src until dst is settled and returns
+// the equal-cost predecessor DAG of dst's ancestors (the only part the
+// walk-back can reach), parent lists sorted by name, with visited set
+// to the number of nodes given a distance (the walk-back loop bound).
+// Neighbours are explored over the network's creation-order adjacency
+// lists, so the run is deterministic without sorting.
+func (c *Controller) shortestDAG(src, dst *netsim.Node, w weightFunc) (dag, error) {
 	const eps = 1e-12
-	dist := map[netsim.NodeID]float64{src: 0}
-	parents := make(map[netsim.NodeID][]netsim.NodeID)
-	done := make(map[netsim.NodeID]bool)
-	q := &pq{{node: src, dist: 0}}
-	for !q.empty() {
-		it := heap.Pop(q).(pqItem)
-		if done[it.node] {
+	s := &c.dj
+	n := c.net.NodeCount()
+	s.reached.reset(n)
+	s.done.reset(n)
+	if len(s.dist) < n {
+		s.dist = make([]float64, n)
+		s.par = make([][]int32, n)
+	}
+	reached := 1
+	s.reached.add(src.Index)
+	s.dist[src.Index] = 0
+	s.par[src.Index] = s.par[src.Index][:0]
+	s.q = append(s.q[:0], pqItem{node: src.Index, name: src.ID})
+	for len(s.q) > 0 {
+		it := heap.Pop(&s.q).(pqItem)
+		if s.done.has(it.node) {
 			continue
 		}
-		done[it.node] = true
-		if it.node == dst {
+		s.done.add(it.node)
+		if it.node == dst.Index {
 			break
 		}
-		for _, l := range c.net.NeighborLinks(it.node) {
-			nb := l.To
-			if !l.Up() || done[nb] {
+		for _, l := range c.net.LinksAt(it.node) {
+			nb := l.ToIndex()
+			if !l.Up() || s.done.has(nb) {
 				continue
 			}
 			// Hosts other than src/dst never relay traffic.
-			if nb != dst && l.DstKind() == netsim.KindHost {
+			if nb != dst.Index && l.DstKind() == netsim.KindHost {
 				continue
 			}
 			nd := it.dist + w(l)
-			old, seen := dist[nb]
 			switch {
-			case !seen || nd < old-eps:
-				dist[nb] = nd
-				parents[nb] = []netsim.NodeID{it.node}
-				heap.Push(q, pqItem{node: nb, dist: nd})
-			case nd <= old+eps:
-				parents[nb] = append(parents[nb], it.node)
+			case !s.reached.has(nb) || nd < s.dist[nb]-eps:
+				if !s.reached.has(nb) {
+					s.reached.add(nb)
+					reached++
+				}
+				s.dist[nb] = nd
+				s.par[nb] = append(s.par[nb][:0], it.node)
+				heap.Push(&s.q, pqItem{node: nb, name: l.To, dist: nd})
+			case nd <= s.dist[nb]+eps:
+				s.par[nb] = append(s.par[nb], it.node)
 			}
 		}
 	}
-	if !done[dst] {
-		return nil, 0, fmt.Errorf("%w: %s -> %s", ErrNoPath, src, dst)
+	if !s.done.has(dst.Index) {
+		return dag{}, fmt.Errorf("%w: %s -> %s", ErrNoPath, src.ID, dst.ID)
 	}
-	for _, ps := range parents {
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+	b := &c.build
+	b.reset()
+	s.emitted.reset(n)
+	s.emitted.add(dst.Index)
+	stack := append(s.stack[:0], dst.Index)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		ps := s.par[x]
+		if len(ps) == 0 {
+			continue // src
+		}
+		c.sortByName(ps)
+		b.add(x, ps...)
+		for _, p := range ps {
+			if !s.emitted.has(p) {
+				s.emitted.add(p)
+				stack = append(stack, p)
+			}
+		}
 	}
-	return parents, len(dist), nil
+	s.stack = stack
+	d := b.dag()
+	d.visited = reached
+	return d, nil
 }
 
 // materialisePath walks the predecessor DAG back from dst, choosing
-// among equal-cost parents by tiebreak hash (deterministic ECMP), and
-// returns the src..dst hop sequence.
-func materialisePath(parents map[netsim.NodeID][]netsim.NodeID, src, dst netsim.NodeID, tiebreak uint64, visited int) ([]netsim.NodeID, error) {
+// among equal-cost parents by tiebreak hash over the node name
+// (deterministic ECMP), and returns the src..dst hop sequence.
+func (c *Controller) materialisePath(d *dag, src, dst int32, tiebreak uint64) ([]netsim.NodeID, error) {
 	var rev []netsim.NodeID
 	cur := dst
 	for cur != src {
-		rev = append(rev, cur)
-		ps := parents[cur]
+		name := c.net.NodeAt(cur).ID
+		rev = append(rev, name)
+		ps := d.parents(cur)
 		if len(ps) == 0 {
-			return nil, fmt.Errorf("%w: broken parent chain at %s", ErrNoPath, cur)
+			return nil, fmt.Errorf("%w: broken parent chain at %s", ErrNoPath, name)
 		}
 		idx := 0
 		if tiebreak != 0 && len(ps) > 1 {
 			h := fnv.New64a()
-			h.Write([]byte(cur))
+			h.Write([]byte(name))
 			var b [8]byte
 			for i := 0; i < 8; i++ {
 				b[i] = byte(tiebreak >> (8 * i))
@@ -833,11 +1017,11 @@ func materialisePath(parents map[netsim.NodeID][]netsim.NodeID, src, dst netsim.
 			idx = int(h.Sum64() % uint64(len(ps)))
 		}
 		cur = ps[idx]
-		if len(rev) > visited+1 {
+		if len(rev) > d.visited+1 {
 			return nil, ErrForwardLoop
 		}
 	}
-	rev = append(rev, src)
+	rev = append(rev, c.net.NodeAt(src).ID)
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}

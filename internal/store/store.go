@@ -31,10 +31,10 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -238,8 +238,39 @@ func (st *Store) CreateJournal(id string) (*Journal, error) {
 
 // OpenJournal reopens an existing journal for appending — the recovery
 // path, where the recovered session keeps extending its own history.
+// The bytes ReadJournal drops as a torn tail are cut off first (and the
+// cut fsynced), so the next record starts on a line of its own instead
+// of being glued onto the torn bytes. A corrupt journal is refused.
 func (st *Store) OpenJournal(id string) (*Journal, error) {
-	return st.openJournal(id, os.O_CREATE|os.O_APPEND|os.O_WRONLY)
+	j, err := st.openJournal(id, os.O_CREATE|os.O_APPEND|os.O_RDWR)
+	if err != nil {
+		return nil, err
+	}
+	if err := j.truncateTornTail(); err != nil {
+		j.f.Close()
+		return nil, err
+	}
+	return j, nil
+}
+
+// truncateTornTail cuts the journal back to the end of its last
+// complete record.
+func (j *Journal) truncateTornTail() error {
+	data, err := io.ReadAll(j.f)
+	if err != nil {
+		return fmt.Errorf("store: journal %s: %w", j.id, err)
+	}
+	_, end, err := parseJournal(j.id, data)
+	if err != nil || end == int64(len(data)) {
+		return err
+	}
+	if err := j.f.Truncate(end); err != nil {
+		return fmt.Errorf("store: journal %s: %w", j.id, err)
+	}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("store: journal %s: fsync: %w", j.id, err)
+	}
+	return nil
 }
 
 func (st *Store) openJournal(id string, flags int) (*Journal, error) {
@@ -300,43 +331,49 @@ func (st *Store) JournalIDs() ([]string, error) {
 	return out, nil
 }
 
-// ReadJournal loads a session's journal. A torn final line — the one
-// write a SIGKILL can interrupt, since every complete record was
-// fsynced before the next began — is dropped silently; a malformed
-// record anywhere earlier is corruption and returns an error (the
-// caller quarantines).
+// ReadJournal loads a session's journal. A torn tail — the one write a
+// SIGKILL can interrupt, since every complete record was fsynced before
+// the next began — is dropped silently; a malformed record anywhere
+// earlier is corruption and returns an error (the caller quarantines).
 func (st *Store) ReadJournal(id string) ([]Record, error) {
-	f, err := os.Open(st.journalPath(id))
+	data, err := os.ReadFile(st.journalPath(id))
 	if err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", id, err)
 	}
-	defer f.Close()
-	var out []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	pendingErr := error(nil)
-	line := 0
-	for sc.Scan() {
-		line++
-		if pendingErr != nil {
-			// The bad line had complete records after it: real corruption.
-			return out, pendingErr
+	recs, _, err := parseJournal(id, data)
+	return recs, err
+}
+
+// parseJournal decodes a journal's bytes. Only newline-terminated lines
+// are records: Append writes each record and its newline in one write,
+// so bytes after the last newline are a torn write and are dropped. A
+// malformed final line is dropped the same way; a malformed line with
+// any line after it is corruption. end is the offset just past the last
+// record, where the next append belongs.
+func parseJournal(id string, data []byte) (recs []Record, end int64, err error) {
+	var bad error
+	off := 0
+	for line := 1; ; line++ {
+		i := bytes.IndexByte(data[off:], '\n')
+		if i < 0 {
+			return recs, end, nil
 		}
-		text := bytes.TrimSpace(sc.Bytes())
+		text := bytes.TrimSpace(data[off : off+i])
+		off += i + 1
+		if bad != nil {
+			return recs, end, bad
+		}
 		if len(text) == 0 {
 			continue
 		}
 		var rec Record
 		if err := json.Unmarshal(text, &rec); err != nil {
-			pendingErr = fmt.Errorf("store: journal %s: record %d: %w", id, line, err)
+			bad = fmt.Errorf("store: journal %s: record %d: %w", id, line, err)
 			continue
 		}
-		out = append(out, rec)
+		recs = append(recs, rec)
+		end = int64(off)
 	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("store: journal %s: %w", id, err)
-	}
-	return out, nil
 }
 
 // RemoveJournal deletes a journal after a clean close.

@@ -104,6 +104,51 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	}
 }
 
+// TestJournalTornTailThenRecoveryAppends is the crash → recover →
+// append story: the recovery reopen must cut the torn bytes off, or the
+// next acknowledged record is glued onto them and the following read
+// refuses the whole journal as corrupt.
+func TestJournalTornTailThenRecoveryAppends(t *testing.T) {
+	st := openStore(t)
+	jr, err := st.CreateJournal("s-0005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{{Op: "create", At: 0}, {Op: "advance", At: int64(10 * time.Second)}}
+	for _, rec := range want {
+		if err := jr.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jr.Close()
+	path := filepath.Join(st.Dir(), "journals", "s-0005.journal")
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"op":"advance","at_ns":2000`)
+	f.Close()
+
+	jr, err = st.OpenJournal("s-0005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := []Record{{Op: "advance", At: int64(20 * time.Second)}, {Op: "close", At: int64(20 * time.Second)}}
+	for _, rec := range after {
+		if err := jr.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jr.Close()
+	got, err := st.ReadJournal("s-0005")
+	if err != nil {
+		t.Fatalf("journal unreadable after recovery appends: %v", err)
+	}
+	if want = append(want, after...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("records after recovery:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 func TestJournalMidCorruptionRefused(t *testing.T) {
 	st := openStore(t)
 	path := filepath.Join(st.Dir(), "journals", "s-0003.journal")
