@@ -17,10 +17,9 @@ race:
 	$(GO) test -race ./...
 
 # The 1000-node scale gate under the race detector: the scenario engine,
-# incremental solver, parallel domain solving and route cache all run
-# full-size with -race on. (`go test -race ./...` additionally runs
-# TestParallelSolveMatchesSerial, which forces the solve pool on for
-# every catalog scenario — the full race coverage of the kernel.)
+# incremental solver and route cache run full-size with -race on. The
+# kernel runs on one goroutine, so this catches any goroutine that comes
+# back into it without synchronisation.
 race-megafleet:
 	$(GO) test -race -run='^$$' -bench='^BenchmarkScenarioMegafleet1000$$' -benchtime=1x .
 
@@ -35,14 +34,14 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
-# The determinism-vs-parallelism proof: every digest pin and every
-# serial/parallel/lazy/eager/calendar-vs-heap/serial-build equivalence
-# gate, plus the checkpoint-resume byte-identity and study-digest
-# gates, executed with a single scheduler thread. Together with the
-# default-GOMAXPROCS test job this shows the traces are independent of
-# how much hardware ran them.
+# A cheap determinism guard: every digest pin and every
+# lazy/eager, incremental/full and calendar/heap equivalence gate, plus
+# the checkpoint-resume byte-identity and study-digest gates, executed
+# with a single scheduler thread. Together with the default-GOMAXPROCS
+# test job this shows the traces do not depend on how many threads the
+# runtime had.
 determinism-single-core:
-	GOMAXPROCS=1 $(GO) test -run 'TraceDigest|MatchesSerial|MatchesEager|MatchesFullSolver|BitwiseEquivalence|MatchesClassicHeap|CheckpointResume|StudyDigests' ./internal/scenario ./internal/netsim ./internal/sim
+	GOMAXPROCS=1 $(GO) test -run 'TraceDigest|MatchesEager|MatchesFullSolver|BitwiseEquivalence|MatchesClassicHeap|CheckpointResume|StudyDigests' ./internal/scenario ./internal/netsim ./internal/sim
 
 # A Perfetto-loadable span trace of the 1000-node scale scenario:
 # advance slices, per-domain netsim flushes and checkpoint spans with

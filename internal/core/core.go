@@ -10,8 +10,7 @@
 // pimaster's API, exactly as a user of the physical testbed would.
 //
 // Construction itself lives in the fleet subsystem (internal/fleet):
-// node templates, a per-shape construction plan, rack-sharded parallel
-// bring-up and bulk registration. New is a thin composition over it;
+// node templates, a per-shape construction plan and bulk registration. New is a thin composition over it;
 // Snapshot/Restore expose warm-boot for repeated runs of one shape.
 package core
 
@@ -42,7 +41,7 @@ type Config = fleet.Config
 
 // KernelOptions holds the kernel's Go-only oracle twins (see
 // fleet.KernelOptions). Differential tests set Config.Kernel to choose
-// scheduler, flow-accounting, solver and builder variants atomically at
+// scheduler, flow-accounting and solver variants atomically at
 // construction or resume.
 type KernelOptions = fleet.KernelOptions
 

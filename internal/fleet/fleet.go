@@ -11,12 +11,6 @@
 //   - A construction Plan: every shape-derived value (host names, rack
 //     assignments, MACs, static addresses, FQDNs, pool CIDRs) is
 //     computed once per fleet shape and reused — see plan.go.
-//   - Sharded parallel bring-up: hosts are partitioned into
-//     rack-granular shards built on worker goroutines. Workers only
-//     construct per-node objects (no shared mutable state, no engine
-//     events, no RNG draws); the shards are merged and registered
-//     strictly in rack order, so the resulting cloud — and every event
-//     trace it produces — is byte-identical to a serial build.
 //   - Bulk registration: nodes enter pimaster through RegisterNodes
 //     with plan-precomputed addressing, and node clients are bound
 //     directly to their in-process daemons, so boot performs no JSON
@@ -33,7 +27,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sync"
 	"time"
 
@@ -66,8 +59,8 @@ const (
 )
 
 // KernelOptions holds the kernel's oracle twins: alternate scheduler,
-// flow-accounting, solver and builder paths that are byte-identical to
-// the defaults by construction. They are Go-only test oracles — each
+// flow-accounting and solver paths that are byte-identical to the
+// defaults by construction. They are Go-only test oracles — each
 // field exists because a differential gate runs the catalog on both
 // sides and requires identical digests — and no command line, wire
 // spec or checkpoint file reaches them. The zero value is the
@@ -82,30 +75,16 @@ type KernelOptions struct {
 	// accounting sweep at every time-advancing mutation
 	// (TestLazyAdvanceMatchesEager; see netsim.KernelMode.EagerAdvance).
 	EagerAdvance bool
-	// SerialSolve forces the congestion-domain solver onto the engine
-	// goroutine (TestParallelSolveMatchesSerial; see
-	// netsim.KernelMode.SerialSolve).
-	SerialSolve bool
-	// SolveWorkers sizes the parallel solve pool: 0 auto-sizes from
-	// GOMAXPROCS with a work threshold; an explicit count forces
-	// fan-out (TestParallelSolveMatchesSerial; see
-	// netsim.KernelMode.SolveWorkers).
-	SolveWorkers int
 	// FullRecompute re-solves every congestion domain at each flush
 	// instead of dirty domains only (TestIncrementalMatchesFullSolver; see
 	// netsim.KernelMode.FullRecompute).
 	FullRecompute bool
-	// SerialBuild forces single-goroutine fleet construction
-	// (TestShardedBuildMatchesSerial).
-	SerialBuild bool
 }
 
 // netMode projects the options onto the network kernel's knob surface.
 func (k KernelOptions) netMode() netsim.KernelMode {
 	return netsim.KernelMode{
 		EagerAdvance:  k.EagerAdvance,
-		SerialSolve:   k.SerialSolve,
-		SolveWorkers:  k.SolveWorkers,
 		FullRecompute: k.FullRecompute,
 	}
 }
@@ -233,8 +212,7 @@ func NewTemplate(board hw.BoardSpec, images *image.Store) (*Template, error) {
 
 // Stamp instantiates the template on one host: kernel, energy meter
 // wired to CPU utilisation, LXC suite, management daemon, and a client
-// bound directly to the daemon (boot calls skip HTTP/JSON). It touches
-// no shared mutable state, so shards stamp concurrently.
+// bound directly to the daemon (boot calls skip HTTP/JSON).
 func (t *Template) Stamp(engine *sim.Engine, cloudMu *sync.Mutex, httpClient *http.Client, name string, rack int, at sim.Time) (*Node, error) {
 	kernel, err := oslinux.NewKernel(engine, t.board, name)
 	if err != nil {
@@ -382,9 +360,8 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	}
 	r.Master = master
 
-	// Sharded bring-up: stamp every host's software stack on worker
-	// goroutines, then merge and register in rack order.
-	nodes, err := stampAll(cfg, tmpl, engine, cloudMu, httpClient, plan)
+	// Stamp every host's software stack, then register in plan order.
+	nodes, err := stampAll(tmpl, engine, cloudMu, httpClient, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -412,89 +389,19 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	return r, nil
 }
 
-// stampAll builds every node from the template. Shards are contiguous
-// runs of whole racks; workers write disjoint index ranges of the
-// result slice, so no synchronisation beyond the final join is needed
-// and the merged order is exactly the serial order.
-func stampAll(cfg Config, tmpl *Template, engine *sim.Engine, cloudMu *sync.Mutex, httpClient *http.Client, plan *Plan) ([]*Node, error) {
+// stampAll builds every node from the template, in plan order.
+func stampAll(tmpl *Template, engine *sim.Engine, cloudMu *sync.Mutex, httpClient *http.Client, plan *Plan) ([]*Node, error) {
 	nodes := make([]*Node, len(plan.hosts))
 	at := engine.Now()
-	stampRange := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			hp := &plan.hosts[i]
-			node, err := tmpl.Stamp(engine, cloudMu, httpClient, hp.name, hp.rack, at)
-			if err != nil {
-				return err
-			}
-			nodes[i] = node
-		}
-		return nil
-	}
-	shards := rackShards(plan, workerCount(cfg, plan))
-	if cfg.Kernel.SerialBuild || len(shards) <= 1 {
-		if err := stampRange(0, len(plan.hosts)); err != nil {
-			return nil, err
-		}
-		return nodes, nil
-	}
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for s, span := range shards {
-		wg.Add(1)
-		go func(s int, lo, hi int) {
-			defer wg.Done()
-			errs[s] = stampRange(lo, hi)
-		}(s, span[0], span[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for i := range plan.hosts {
+		hp := &plan.hosts[i]
+		node, err := tmpl.Stamp(engine, cloudMu, httpClient, hp.name, hp.rack, at)
 		if err != nil {
 			return nil, err
 		}
+		nodes[i] = node
 	}
 	return nodes, nil
-}
-
-// workerCount sizes the shard pool: one worker per core, at least two
-// (so the parallel path is exercised — and its determinism proven —
-// even on single-core machines), never more than there are racks.
-func workerCount(cfg Config, plan *Plan) int {
-	if cfg.Kernel.SerialBuild {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w < 2 {
-		w = 2
-	}
-	if racks := len(plan.rackSpans); w > racks {
-		w = racks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// rackShards partitions the plan's hosts into n contiguous index spans
-// aligned on rack boundaries (a rack is never split across shards).
-func rackShards(plan *Plan, n int) [][2]int {
-	spans := plan.rackSpans
-	if n <= 1 || len(spans) <= 1 {
-		return [][2]int{{0, len(plan.hosts)}}
-	}
-	if n > len(spans) {
-		n = len(spans)
-	}
-	out := make([][2]int, 0, n)
-	perShard := (len(spans) + n - 1) / n
-	for i := 0; i < len(spans); i += perShard {
-		j := i + perShard
-		if j > len(spans) {
-			j = len(spans)
-		}
-		out = append(out, [2]int{spans[i][0], spans[j-1][1]})
-	}
-	return out
 }
 
 // buildTopology wires the configured fabric.

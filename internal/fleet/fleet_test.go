@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -95,28 +94,28 @@ func TestPlanMatchesRegistrationDerivations(t *testing.T) {
 	}
 }
 
+// TestRackShardsAlignToRackBoundaries pins the plan's rack layout: each
+// rack's hosts form one contiguous run whose in-rack indices count up
+// from 0, so the plan order registers whole racks one after another.
 func TestRackShardsAlignToRackBoundaries(t *testing.T) {
 	r := assembleFleet(t, Config{Racks: 7, HostsPerRack: 3, Seed: 1})
-	plan := r.plan
-	for _, workers := range []int{1, 2, 3, 7, 50} {
-		spans := rackShards(plan, workers)
-		// Spans are contiguous, ordered, and cover every host once.
-		next := 0
-		for _, span := range spans {
-			if span[0] != next {
-				t.Fatalf("workers=%d: span starts at %d, want %d", workers, span[0], next)
+	seen := map[int]bool{}
+	prev := -1
+	for i := range r.plan.hosts {
+		hp := &r.plan.hosts[i]
+		if hp.rack != prev {
+			if seen[hp.rack] {
+				t.Fatalf("host %s: rack %d split into two runs", hp.name, hp.rack)
 			}
-			next = span[1]
+			seen[hp.rack] = true
+			prev = hp.rack
 		}
-		if next != plan.Hosts() {
-			t.Fatalf("workers=%d: spans cover %d of %d hosts", workers, next, plan.Hosts())
+		if want := i % 3; hp.idx != want {
+			t.Fatalf("host %s: in-rack index %d, want %d", hp.name, hp.idx, want)
 		}
-		// No span splits a rack.
-		for _, span := range spans {
-			if plan.hosts[span[0]].idx != 0 {
-				t.Fatalf("workers=%d: span %v starts mid-rack", workers, span)
-			}
-		}
+	}
+	if len(seen) != 7 {
+		t.Fatalf("plan covers %d racks, want 7", len(seen))
 	}
 }
 
@@ -216,49 +215,10 @@ func TestWarmCacheKeyedOnShape(t *testing.T) {
 	}
 }
 
-func TestSerialAndShardedProduceSameRegistry(t *testing.T) {
-	for _, fabric := range []topology.Fabric{
-		topology.FabricMultiRoot, topology.FabricFatTree, topology.FabricLeafSpine,
-	} {
-		t.Run(fabric.String(), func(t *testing.T) {
-			cfg := Config{Racks: 4, HostsPerRack: 4, Seed: 3, Fabric: fabric}
-			serialCfg := cfg
-			serialCfg.Kernel.SerialBuild = true
-			serial := assembleFleet(t, serialCfg)
-			sharded := assembleFleet(t, cfg)
-			if len(serial.Nodes) != len(sharded.Nodes) {
-				t.Fatalf("node counts differ: %d vs %d", len(serial.Nodes), len(sharded.Nodes))
-			}
-			for i := range serial.Nodes {
-				a, b := serial.Nodes[i], sharded.Nodes[i]
-				if a.Name != b.Name || a.Rack != b.Rack || a.Host != b.Host {
-					t.Fatalf("node %d differs: %s/r%d vs %s/r%d", i, a.Name, a.Rack, b.Name, b.Rack)
-				}
-			}
-			leaseStr := func(r *Result) string {
-				var b strings.Builder
-				for _, l := range r.Master.DHCP().Leases() {
-					fmt.Fprintf(&b, "%s %s %s %v\n", l.MAC, l.Addr, l.Pool, l.Static)
-				}
-				return b.String()
-			}
-			if leaseStr(serial) != leaseStr(sharded) {
-				t.Fatal("DHCP registries differ between serial and sharded builds")
-			}
-			da := fmt.Sprint(serial.Master.DNS().Dump())
-			db := fmt.Sprint(sharded.Master.DNS().Dump())
-			if da != db {
-				t.Fatal("DNS registries differ between serial and sharded builds")
-			}
-		})
-	}
-}
-
 // TestFatTreePodShardAlignment pins the pod → rack-group mapping the
 // fat-tree megafleet scenarios rely on: topology racks ARE fat-tree
 // pods, the construction plan assigns every host the rack index of its
-// pod, and the parallel build's rack shards therefore never split a
-// pod across workers.
+// pod, so each pod's hosts are one rack of the fleet.
 func TestFatTreePodShardAlignment(t *testing.T) {
 	cfg := Config{
 		Racks: 8, HostsPerRack: 16,
@@ -282,17 +242,5 @@ func TestFatTreePodShardAlignment(t *testing.T) {
 	}
 	if len(pods) != cfg.FatTreeK {
 		t.Fatalf("hosts cover %d pods, want %d", len(pods), cfg.FatTreeK)
-	}
-	for _, workers := range []int{2, 3, 4} {
-		podShard := map[int]int{}
-		for s, span := range rackShards(r.plan, workers) {
-			for i := span[0]; i < span[1]; i++ {
-				pod := r.plan.hosts[i].rack
-				if prev, seen := podShard[pod]; seen && prev != s {
-					t.Fatalf("workers=%d: pod %d split across build shards %d and %d", workers, pod, prev, s)
-				}
-				podShard[pod] = s
-			}
-		}
 	}
 }

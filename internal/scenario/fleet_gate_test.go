@@ -1,19 +1,11 @@
 package scenario
 
-// Gates for the fleet-builder subsystem at scenario level:
-//
-//   - TestShardedBuildMatchesSerial runs every canned scenario twice,
-//     once on a serially constructed cloud and once on the default
-//     rack-sharded parallel build, and requires byte-identical event
-//     traces, event counts and metrics. This is the whole-system proof
-//     that parallel bring-up changes wall time only.
-//
-//   - TestWarmBootMatchesColdBoot pins the snapshot contract: a cloud
-//     restored from a fleet snapshot must replay a scenario to the
-//     byte-identical trace a cold-built cloud produces.
-//
-// Both extend solver_gate_test.go's pinned-digest pattern: any
-// divergence surfaces as a loud trace diff, not a silent drift.
+// Gate for the fleet-builder subsystem at scenario level:
+// TestWarmBootMatchesColdBoot pins the snapshot contract: a cloud
+// restored from a fleet snapshot must replay a scenario to the
+// byte-identical trace a cold-built cloud produces. It extends
+// solver_gate_test.go's pinned-digest pattern: any divergence surfaces
+// as a loud trace diff, not a silent drift.
 
 import (
 	"testing"
@@ -58,35 +50,6 @@ func requireIdentical(t *testing.T, label string, a, b *Report) {
 		if b.Metrics[k] != v {
 			t.Fatalf("%s: metric %s differs: %v vs %v", label, k, v, b.Metrics[k])
 		}
-	}
-}
-
-func TestShardedBuildMatchesSerial(t *testing.T) {
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			spec, err := Catalog(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec = shrink(spec)
-
-			serialSpec := spec
-			serialSpec.Cloud.Kernel.SerialBuild = true
-			serialCloud, err := core.New(serialSpec.Cloud)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial := executeOn(t, serialCloud, serialSpec)
-
-			shardedCloud, err := core.New(spec.Cloud)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded := executeOn(t, shardedCloud, spec)
-
-			requireIdentical(t, "serial vs sharded", serial, sharded)
-		})
 	}
 }
 

@@ -135,15 +135,6 @@ type Controller struct {
 	synthHits     uint64
 	synthTierHits [numSynthTiers]uint64
 
-	// uplinkCache memoises soleUplink per host for the current
-	// topology epoch: every cache-miss route consults both endpoints'
-	// uplinks, and re-scanning NeighborLinks for each is the dominant
-	// cost of the short synthesis cases. Any epoch bump (link state,
-	// shaping, re-cable) discards the whole map, exactly like the
-	// route cache.
-	uplinkCache map[netsim.NodeID]*netsim.Link
-	uplinkEpoch uint64
-
 	// Cache-miss scratch, reused across misses so a cold route costs no
 	// per-node allocation: the synthesis node sets and lists, the DAG
 	// builder, and Dijkstra's dense per-node state.
@@ -550,32 +541,14 @@ func (c *Controller) endpoints(src, dst netsim.NodeID) (*netsim.Node, *netsim.No
 }
 
 // soleUplink returns the single up link leaving host h, or nil when h
-// is not a host with exactly one live uplink to a switch. Resolutions
-// (including negative ones) are memoised per topology epoch: the
-// answer is a pure function of wiring and link state, both of which
-// bump the epoch on every change.
-func (c *Controller) soleUplink(h netsim.NodeID) *netsim.Link {
-	if epoch := c.net.TopoEpoch(); epoch != c.uplinkEpoch || c.uplinkCache == nil {
-		c.uplinkCache = make(map[netsim.NodeID]*netsim.Link, len(c.uplinkCache))
-		c.uplinkEpoch = epoch
-	}
-	if up, ok := c.uplinkCache[h]; ok {
-		return up
-	}
-	up := c.scanSoleUplink(h)
-	c.uplinkCache[h] = up
-	return up
-}
-
-// scanSoleUplink is the uncached resolution: one pass over h's
-// adjacency list.
-func (c *Controller) scanSoleUplink(h netsim.NodeID) *netsim.Link {
-	node := c.net.Node(h)
-	if node == nil || node.Kind != netsim.KindHost {
+// is not a host with exactly one live uplink to a switch. A host has one
+// link, so the scan over its adjacency list is a single step.
+func (c *Controller) soleUplink(h *netsim.Node) *netsim.Link {
+	if h.Kind != netsim.KindHost {
 		return nil
 	}
 	var up *netsim.Link
-	for _, l := range c.net.NeighborLinks(h) {
+	for _, l := range c.net.LinksAt(h.Index) {
 		if !l.Up() {
 			continue
 		}
@@ -645,8 +618,8 @@ func (c *Controller) synthDAG(src, dst *netsim.Node) (dag, synthTier, bool) {
 	if c.cfg.DisableRouteSynthesis {
 		return dag{}, 0, false
 	}
-	upA := c.soleUplink(src.ID)
-	upB := c.soleUplink(dst.ID)
+	upA := c.soleUplink(src)
+	upB := c.soleUplink(dst)
 	if upA == nil || upB == nil {
 		return dag{}, 0, false
 	}

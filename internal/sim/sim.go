@@ -214,7 +214,7 @@ func NewEngine(seed int64) *Engine {
 // any queued events. Both schedulers realise the identical (time,
 // sequence) total order, so traces are byte-identical either way — the
 // knob exists for ablation benchmarks and the differential gates, the
-// scheduler mirror of the solver's SerialSolve and the accounting's
+// scheduler mirror of the solver's FullRecompute and the accounting's
 // EagerAdvance.
 func (e *Engine) SetClassicHeap(v bool) {
 	if v == e.classic {
