@@ -71,14 +71,16 @@ crash-gate:
 	rm -rf crash-data
 	$(GO) run -race ./cmd/piscaled -crash-gate -crash-budget 8m -crash-dir crash-data
 
-# Native fuzzing of the wire decoding (internal/cliconfig) and the
-# journal reader (internal/store): each target runs for a short
+# Native fuzzing of the wire decoding (internal/cliconfig: fault and
+# spec requests, piscale checkpoint files) and the journal reader
+# (internal/store): each target runs for a short
 # -fuzztime on top of its committed seed corpus under testdata/fuzz/. A
 # failing input is written there and must be fixed in the decoder, then
 # kept as a seed.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultRequest$$' -fuzztime 15s ./internal/cliconfig
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecRequest$$' -fuzztime 15s ./internal/cliconfig
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointFile$$' -fuzztime 15s ./internal/cliconfig
 	$(GO) test -run='^$$' -fuzz='^FuzzReadJournal$$' -fuzztime 15s ./internal/store
 
 lint:

@@ -103,20 +103,23 @@ type runOpts struct {
 	metricsDump    bool
 }
 
-// beginObs attaches the optional observation channels to a run before
-// it starts: the span tracer behind -trace-out, and the solver's phase
-// profiler when -metrics-dump will want wall attribution. The
-// zero-perturbation gate proves neither can change the run.
-func beginObs(r *scenario.Run, o runOpts) *obs.Tracer {
-	if o.metricsDump {
-		r.Cloud.Net.EnableProfiling(true)
-	}
+// newTracer returns the span tracer behind -trace-out, or nil.
+func newTracer(o runOpts) *obs.Tracer {
 	if o.traceOut == "" {
 		return nil
 	}
-	tr := obs.NewTracer(obs.DefaultTraceCap)
+	return obs.NewTracer(obs.DefaultTraceCap)
+}
+
+// beginObs attaches the optional observation channels to a run: the
+// span tracer, and the solver's phase profiler when -metrics-dump will
+// want wall attribution. The zero-perturbation gate proves neither can
+// change the run.
+func beginObs(r *scenario.Run, o runOpts, tr *obs.Tracer) {
+	if o.metricsDump {
+		r.Cloud.Net.EnableProfiling(true)
+	}
 	r.SetTracer(tr)
-	return tr
 }
 
 // finishObs drains the observation channels after the run: the Chrome
@@ -155,35 +158,9 @@ func finishObs(r *scenario.Run, o runOpts, tr *obs.Tracer) error {
 	return nil
 }
 
-// specFor resolves a catalog scenario with the command-line overrides
-// applied — shared by run, checkpointing and resume (a checkpoint file
-// records exactly these overrides, so the resuming process rebuilds the
-// identical spec).
-func specFor(name string, o runOpts) (scenario.Spec, error) {
-	return o.common.SpecRequest(name).Resolve()
-}
-
-// checkpointPayload is the on-disk checkpoint: the replay recipe (the
-// scenario plus the overrides that shaped it — cliconfig's wire spec,
-// the same decoding the session API speaks) and the captured
-// cross-layer kernel fingerprint a resume must reproduce bit-for-bit.
-// Construction snapshots are process-local; what crosses processes is
-// the proof obligation.
-type checkpointPayload struct {
-	cliconfig.SpecRequest
-
-	At           time.Duration `json:"at_ns"`
-	KernelNow    int64         `json:"kernel_now_ns"`
-	KernelSeq    uint64        `json:"kernel_seq"`
-	KernelFired  uint64        `json:"kernel_fired"`
-	KernelPend   int           `json:"kernel_pending"`
-	KernelDigest string        `json:"kernel_digest"`
-	TraceLen     int           `json:"trace_len"`
-	TraceDigest  string        `json:"trace_digest"`
-}
-
 func run(name string, o runOpts) error {
-	spec, err := specFor(name, o)
+	req := o.common.SpecRequest(name)
+	spec, err := req.Resolve()
 	if err != nil {
 		return err
 	}
@@ -195,7 +172,8 @@ func run(name string, o runOpts) error {
 		return err
 	}
 	defer r.Cloud.Close()
-	tr := beginObs(r, o)
+	tr := newTracer(o)
+	beginObs(r, o, tr)
 	if !o.quiet {
 		r.OnEvent = func(ev scenario.TraceEvent) { fmt.Println(ev) }
 	}
@@ -203,88 +181,57 @@ func run(name string, o runOpts) error {
 		if err := r.RunTo(o.checkpointAt); err != nil {
 			return err
 		}
-		chk := r.Checkpoint()
-		st := chk.Core.State()
-		payload := checkpointPayload{
-			SpecRequest: o.common.SpecRequest(name),
-			At:          chk.At,
-			KernelNow:   int64(st.Now), KernelSeq: st.Seq, KernelFired: st.Fired,
-			KernelPend: st.Pending, KernelDigest: st.Digest,
-			TraceLen: chk.TraceLen, TraceDigest: chk.TraceDigest,
-		}
+		file := cliconfig.NewCheckpointFile(req, r)
 		path := o.checkpointFile
 		if path == "" {
 			path = name + ".ckpt.json"
 		}
-		data, err := json.MarshalIndent(payload, "", "  ")
+		data, err := json.MarshalIndent(file, "", "  ")
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("checkpoint at %v written to %s (kernel digest %s)\n", chk.At, path, st.Digest)
+		fmt.Printf("checkpoint at %v written to %s (kernel digest %s)\n", file.At, path, file.KernelDigest)
 	}
-	rep, err := r.Execute()
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Table())
-	if o.traceTail > 0 {
-		tail := rep.Trace
-		if len(tail) > o.traceTail {
-			tail = tail[len(tail)-o.traceTail:]
-		}
-		fmt.Printf("last %d trace events:\n", len(tail))
-		for _, ev := range tail {
-			fmt.Println(" ", ev)
-		}
-	}
-	return finishObs(r, o, tr)
+	return finish(r, o, tr)
 }
 
-// resume rebuilds a checkpointed scenario, replays it to the capture
-// instant, proves the restored kernel matches the recorded fingerprint
-// byte-for-byte, and finishes the run.
+// resume rebuilds a checkpointed scenario from its file — the same
+// build, replay and stamp check every fork takes — and finishes the
+// run.
 func resume(path string, o runOpts) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var p checkpointPayload
-	if err := json.Unmarshal(data, &p); err != nil {
-		return fmt.Errorf("reading checkpoint %s: %w", path, err)
+	file, err := cliconfig.DecodeCheckpointFile(data)
+	if err != nil {
+		return fmt.Errorf("reading %s: %w", path, err)
 	}
-	spec, err := p.SpecRequest.Resolve()
+	chk, err := file.Checkpoint()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("resuming %s from %s: replaying to %v\n", spec.Name, path, p.At)
-	r, err := scenario.New(spec)
+	fmt.Printf("resuming %s from %s: replaying to %v\n", chk.Spec.Name, path, chk.At)
+	tr := newTracer(o)
+	r, err := chk.ForkTraced(tr)
 	if err != nil {
 		return err
 	}
 	defer r.Cloud.Close()
-	tr := beginObs(r, o)
-	if err := r.RunTo(p.At); err != nil {
-		return err
-	}
-	st := r.Cloud.KernelState()
-	trace := r.Trace()
-	switch {
-	case st.Digest != p.KernelDigest || int64(st.Now) != p.KernelNow ||
-		st.Seq != p.KernelSeq || st.Fired != p.KernelFired || st.Pending != p.KernelPend:
-		return fmt.Errorf("kernel state at %v does not match the checkpoint: got now=%v seq=%d fired=%d pending=%d digest=%s, want now=%v seq=%d fired=%d pending=%d digest=%s",
-			p.At, st.Now, st.Seq, st.Fired, st.Pending, st.Digest,
-			time.Duration(p.KernelNow), p.KernelSeq, p.KernelFired, p.KernelPend, p.KernelDigest)
-	case len(trace) != p.TraceLen || scenario.DigestTrace(trace) != p.TraceDigest:
-		return fmt.Errorf("trace prefix at %v does not match the checkpoint (%d events, digest %s; want %d, %s)",
-			p.At, len(trace), scenario.DigestTrace(trace), p.TraceLen, p.TraceDigest)
-	}
-	fmt.Printf("resume verified: kernel state at %v byte-identical to the checkpoint (digest %s)\n", p.At, st.Digest)
+	beginObs(r, o, tr)
+	fmt.Printf("resume verified: kernel state at %v byte-identical to the checkpoint (digest %s)\n", chk.At, chk.KernelDigest)
 	if !o.quiet {
 		r.OnEvent = func(ev scenario.TraceEvent) { fmt.Println(ev) }
 	}
+	return finish(r, o, tr)
+}
+
+// finish runs the rest of the timeline, prints the report and the
+// requested trace tail, and drains the observation channels.
+func finish(r *scenario.Run, o runOpts, tr *obs.Tracer) error {
 	rep, err := r.Execute()
 	if err != nil {
 		return err

@@ -158,6 +158,71 @@ func (r SpecRequest) Resolve() (scenario.Spec, error) {
 	return spec, nil
 }
 
+// CheckpointFile is piscale's on-disk checkpoint: the wire spec that
+// shaped the run (the vocabulary POST bodies speak), the scenario.Stamp
+// a resume must reproduce, and the engine's counters at the capture.
+// The counters are informational — the kernel digest already hashes
+// them — and keep the file readable at a glance.
+type CheckpointFile struct {
+	SpecRequest
+	scenario.Stamp
+	KernelNow     int64  `json:"kernel_now_ns"`
+	KernelSeq     uint64 `json:"kernel_seq"`
+	KernelFired   uint64 `json:"kernel_fired"`
+	KernelPending int    `json:"kernel_pending"`
+}
+
+// NewCheckpointFile captures a paused run, resolved from req, as a
+// checkpoint file.
+func NewCheckpointFile(req SpecRequest, r *scenario.Run) CheckpointFile {
+	f := CheckpointFile{SpecRequest: req, Stamp: r.Stamp()}
+	e := r.Cloud.Engine
+	f.KernelNow, f.KernelSeq, f.KernelFired, f.KernelPending = int64(e.Now()), e.Seq(), e.Fired(), e.Pending()
+	return f
+}
+
+// MarshalJSON writes the file's field order: the spec, the offset, the
+// counters, then the digests.
+func (f CheckpointFile) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		SpecRequest
+		At            time.Duration `json:"at_ns"`
+		KernelNow     int64         `json:"kernel_now_ns"`
+		KernelSeq     uint64        `json:"kernel_seq"`
+		KernelFired   uint64        `json:"kernel_fired"`
+		KernelPending int           `json:"kernel_pending"`
+		KernelDigest  string        `json:"kernel_digest"`
+		TraceLen      int           `json:"trace_len"`
+		TraceDigest   string        `json:"trace_digest"`
+	}{f.SpecRequest, f.At, f.KernelNow, f.KernelSeq, f.KernelFired, f.KernelPending, f.KernelDigest, f.TraceLen, f.TraceDigest})
+}
+
+// DecodeCheckpointFile parses a checkpoint file; piscale -resume-from
+// reads every file through it. A decoded file may still name an
+// unknown scenario or an offset past its run: Checkpoint and the
+// rebuild refuse those.
+func DecodeCheckpointFile(data []byte) (CheckpointFile, error) {
+	var f CheckpointFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return CheckpointFile{}, fmt.Errorf("checkpoint file: %w", err)
+	}
+	if f.At < 0 {
+		return CheckpointFile{}, fmt.Errorf("checkpoint file: negative offset %v", f.At)
+	}
+	return f, nil
+}
+
+// Checkpoint resolves the file into the scenario checkpoint a resume
+// forks: the spec with the file's overrides applied, no injection
+// history, and the file's stamp.
+func (f CheckpointFile) Checkpoint() (*scenario.Checkpoint, error) {
+	spec, err := f.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	return &scenario.Checkpoint{Spec: spec, Stamp: f.Stamp}, nil
+}
+
 // FaultRequest is the wire form of one fault-injection entry — the
 // declarative side of scenario's Fault catalogue, for the session
 // API's inject endpoint. Kind selects the fault; the remaining fields

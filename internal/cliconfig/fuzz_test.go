@@ -59,3 +59,30 @@ func FuzzSpecRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckpointFile: decoding arbitrary bytes as a piscale checkpoint
+// file never panics; every file that decodes re-encodes and decodes
+// back to the same value; and resolving it into a checkpoint either
+// succeeds or refuses cleanly.
+func FuzzCheckpointFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := DecodeCheckpointFile(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(file)
+		if err != nil {
+			t.Fatalf("encoding a decoded file %+v: %v", file, err)
+		}
+		back, err := DecodeCheckpointFile(enc)
+		if err != nil {
+			t.Fatalf("re-decoding %s: %v", enc, err)
+		}
+		if !reflect.DeepEqual(back, file) {
+			t.Fatalf("round trip drift:\n got %#v\nwant %#v", back, file)
+		}
+		if chk, err := file.Checkpoint(); err == nil && chk.At != file.At {
+			t.Fatalf("checkpoint at %v, file says %v", chk.At, file.At)
+		}
+	})
+}

@@ -10,8 +10,12 @@
 // pimaster's API, exactly as a user of the physical testbed would.
 //
 // Construction itself lives in the fleet subsystem (internal/fleet):
-// node templates, a per-shape construction plan and bulk registration. New is a thin composition over it;
-// Snapshot/Restore expose warm-boot for repeated runs of one shape.
+// node templates, a per-shape construction plan and bulk registration.
+// New is a thin composition over it, and repeated builds of one shape
+// warm-boot from the fleet's plan memo. Every rebuild of a run — fork,
+// crash recovery, checkpoint-file resume — goes through New; the
+// scenario layer replays the history and checks the result against a
+// scenario.Stamp built on KernelState (checkpoint.go).
 package core
 
 import (
@@ -68,8 +72,6 @@ type Cloud struct {
 	byHost map[netsim.NodeID]*Node
 	byName map[string]*Node
 
-	fleet *fleet.Result
-
 	// tracer, when set, receives dual-stamped spans from the cloud's
 	// layers (netsim flushes, checkpoint capture/verify). See obs.go.
 	tracer *obs.Tracer
@@ -91,24 +93,6 @@ func New(cfg Config) (*Cloud, error) {
 	return c, nil
 }
 
-// Snapshot captures the booted cloud's construction state for
-// warm-booting identical clouds with Restore.
-func (c *Cloud) Snapshot() *fleet.Snapshot { return c.fleet.Snapshot() }
-
-// Restore warm-boots a fresh cloud from a snapshot. seed overrides the
-// captured seed when non-negative. The restored cloud's behaviour —
-// traces included — is byte-identical to a cold build of the same
-// config.
-func Restore(snap *fleet.Snapshot, seed int64) (*Cloud, error) {
-	c := &Cloud{}
-	res, err := snap.Restore(&c.Mu, seed)
-	if err != nil {
-		return nil, err
-	}
-	c.adopt(res)
-	return c, nil
-}
-
 // adopt wires an assembled fleet into the facade.
 func (c *Cloud) adopt(res *fleet.Result) {
 	c.Config = res.Config
@@ -122,7 +106,6 @@ func (c *Cloud) adopt(res *fleet.Result) {
 	c.nodes = res.Nodes
 	c.byHost = res.ByHost
 	c.byName = res.ByName
-	c.fleet = res
 }
 
 // Nodes returns all nodes in topology order.

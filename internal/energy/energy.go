@@ -354,7 +354,7 @@ func (c *CloudMeter) TotalEnergyJoules(at sim.Time) float64 {
 
 // WriteState writes the power-accounting state up to virtual time at in
 // a deterministic text form — one layer of the cross-layer kernel
-// fingerprint behind core's Checkpoint/Resume. The capture is pure and
+// fingerprint behind core.Cloud.KernelState. The capture is pure and
 // exact: it sums each group's members directly (meters materialise
 // their pending span without committing it), bypassing the extrapolating
 // group caches, whose anchors legitimately depend on when totals were

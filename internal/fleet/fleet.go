@@ -16,11 +16,11 @@
 //     directly to their in-process daemons, so boot performs no JSON
 //     encode/decode round trips through the REST transport.
 //
-// A booted fleet can be captured as a Snapshot and warm-booted with
-// Restore; repeated runs of the same shape (CI, bench sweeps,
-// `piscale -trace`) skip plan derivation and fabric validation instead
-// of rebuilding them. The package also keeps a process-wide warm cache
-// keyed on fleet shape, so Assemble warm-boots automatically.
+// The package keeps a process-wide plan memo keyed on fleet shape, so
+// repeated builds of one shape (CI, bench sweeps, session forks, crash
+// recovery) skip plan derivation and warm-boot automatically. Every
+// build still validates its wired fabric (topology.Validate walks dense
+// node indices, a few milliseconds at 10⁵ hosts).
 package fleet
 
 import (
@@ -65,7 +65,7 @@ const (
 // sides and requires identical digests — and no command line, wire
 // spec or checkpoint file reaches them. The zero value is the
 // production kernel; Config.Kernel is the only way a cloud gets any
-// other, applied atomically at construction and resume.
+// other, applied atomically at construction.
 type KernelOptions struct {
 	// ClassicHeap restores the seed engine's single binary event heap
 	// in place of the default two-level calendar scheduler
@@ -90,7 +90,7 @@ func (k KernelOptions) netMode() netsim.KernelMode {
 }
 
 // applyKernel applies the whole kernel-options surface in one step at
-// construction/resume — the only place the oracle twins reach the engine
+// construction — the only place the oracle twins reach the engine
 // and the network kernel, so a cloud can never boot with a
 // half-applied mix of modes.
 func applyKernel(engine *sim.Engine, net *netsim.Network, k KernelOptions) {
@@ -133,7 +133,7 @@ type Config struct {
 	// MigrationConfig tunes pre-copy.
 	MigrationConfig migration.Config
 	// Kernel selects the oracle twins (see KernelOptions), applied
-	// atomically at construction/resume.
+	// atomically at construction.
 	Kernel KernelOptions
 }
 
@@ -276,8 +276,6 @@ type Result struct {
 	Nodes  []*Node
 	ByHost map[netsim.NodeID]*Node
 	ByName map[string]*Node
-
-	plan *Plan
 }
 
 // Assemble builds and boots a fleet at virtual time zero: all boards
@@ -290,12 +288,6 @@ func Assemble(cfg Config, cloudMu *sync.Mutex) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return assemble(cfg, cloudMu, lookupWarmPlan(cfg))
-}
-
-// assemble is the shared cold/warm construction path; plan may be nil
-// (cold boot: derive and publish it).
-func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	tmpl, err := NewTemplate(cfg.Board, cfg.Images)
 	if err != nil {
 		return nil, err
@@ -308,11 +300,10 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if plan == nil || !plan.validated {
-		if err := topology.Validate(topo, net); err != nil {
-			return nil, err
-		}
+	if err := topology.Validate(topo, net); err != nil {
+		return nil, err
 	}
+	plan := lookupWarmPlan(cfg)
 	if plan == nil {
 		plan = planFor(cfg, topo)
 		storeWarmPlan(plan)
@@ -335,7 +326,6 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 		Meter:  energy.NewCloudMeter(),
 		ByHost: make(map[netsim.NodeID]*Node, len(plan.hosts)),
 		ByName: make(map[string]*Node, len(plan.hosts)),
-		plan:   plan,
 	}
 	r.Mig = migration.NewManager(engine, net, ctrl, cfg.MigrationConfig)
 

@@ -63,9 +63,19 @@ func TestTemplateRejectsBadBoard(t *testing.T) {
 	}
 }
 
+// planOf returns the memoized construction plan a fleet was built from.
+func planOf(t *testing.T, r *Result) *Plan {
+	t.Helper()
+	plan := lookupWarmPlan(r.Config)
+	if plan == nil {
+		t.Fatal("built shape has no memoized plan")
+	}
+	return plan
+}
+
 func TestPlanMatchesRegistrationDerivations(t *testing.T) {
 	r := assembleFleet(t, Config{Racks: 3, HostsPerRack: 5, Seed: 1})
-	plan := r.plan
+	plan := planOf(t, r)
 	if plan.Hosts() != 15 {
 		t.Fatalf("plan holds %d hosts, want 15", plan.Hosts())
 	}
@@ -101,8 +111,9 @@ func TestRackShardsAlignToRackBoundaries(t *testing.T) {
 	r := assembleFleet(t, Config{Racks: 7, HostsPerRack: 3, Seed: 1})
 	seen := map[int]bool{}
 	prev := -1
-	for i := range r.plan.hosts {
-		hp := &r.plan.hosts[i]
+	plan := planOf(t, r)
+	for i := range plan.hosts {
+		hp := &plan.hosts[i]
 		if hp.rack != prev {
 			if seen[hp.rack] {
 				t.Fatalf("host %s: rack %d split into two runs", hp.name, hp.rack)
@@ -156,35 +167,6 @@ func TestDirectClientSkipsJSONButCounts(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreWithSeedOverride(t *testing.T) {
-	ResetWarmCache()
-	r := assembleFleet(t, Config{Racks: 2, HostsPerRack: 4, Seed: 7})
-	snap := r.Snapshot()
-	var mu sync.Mutex
-	restored, err := snap.Restore(&mu, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Config.Seed != 99 {
-		t.Fatalf("seed override ignored: %d", restored.Config.Seed)
-	}
-	if len(restored.Nodes) != len(r.Nodes) {
-		t.Fatalf("restored %d nodes, want %d", len(restored.Nodes), len(r.Nodes))
-	}
-	// Same plan object: no re-derivation happened.
-	if restored.plan != r.plan {
-		t.Fatal("restore re-derived the construction plan")
-	}
-	// Keeping the captured seed.
-	kept, err := snap.Restore(&mu, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kept.Config.Seed != 7 {
-		t.Fatalf("negative seed should keep captured seed, got %d", kept.Config.Seed)
-	}
-}
-
 func TestWarmCacheKeyedOnShape(t *testing.T) {
 	ResetWarmCache()
 	base := Config{Racks: 2, HostsPerRack: 3, Seed: 1}
@@ -229,8 +211,9 @@ func TestFatTreePodShardAlignment(t *testing.T) {
 		t.Fatalf("fat-tree topology has %d racks, want one per pod (k=%d)", got, cfg.FatTreeK)
 	}
 	pods := map[int]bool{}
-	for i := range r.plan.hosts {
-		hp := &r.plan.hosts[i]
+	plan := planOf(t, r)
+	for i := range plan.hosts {
+		hp := &plan.hosts[i]
 		pod, ok := r.Topo.HostRack[netsim.NodeID(hp.name)]
 		if !ok {
 			t.Fatalf("host %s missing from the topology's pod map", hp.name)

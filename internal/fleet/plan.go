@@ -32,9 +32,6 @@ type hostPlan struct {
 type Plan struct {
 	key   shapeKey
 	hosts []hostPlan
-	// validated records that the wired fabric passed topology.Validate
-	// for this shape, so warm boots skip the whole-fabric BFS.
-	validated bool
 }
 
 // Hosts returns the number of planned hosts.
@@ -98,9 +95,8 @@ func shapeOf(cfg Config) shapeKey {
 // n<idx> suffix of the canonical host names for every fabric.
 func planFor(cfg Config, topo *topology.Topology) *Plan {
 	p := &Plan{
-		key:       shapeOf(cfg),
-		hosts:     make([]hostPlan, 0, len(topo.Hosts)),
-		validated: true,
+		key:   shapeOf(cfg),
+		hosts: make([]hostPlan, 0, len(topo.Hosts)),
 	}
 	idxInRack := make([]int, len(topo.Racks))
 	for _, host := range topo.Hosts {
@@ -188,36 +184,4 @@ func ResetWarmCache() {
 	warmPlans = map[shapeKey]*Plan{}
 	warmHits = 0
 	warmMisses = 0
-}
-
-// --- Snapshots ---
-
-// Snapshot captures a booted fleet's construction state so an identical
-// fleet can be warm-booted later. Simulated state (kernels, flows,
-// meters) is inherently per-run and is rebuilt fresh; what the snapshot
-// carries — and Restore skips — is everything derivable: the full
-// registration manifest and the fabric-validation proof. Restored fleets are byte-identical to cold-built ones, traces
-// included.
-type Snapshot struct {
-	cfg  Config
-	plan *Plan
-}
-
-// Snapshot captures this fleet's shape and construction plan.
-func (r *Result) Snapshot() *Snapshot {
-	return &Snapshot{cfg: r.Config, plan: r.plan}
-}
-
-// Config returns the captured (defaults-filled) configuration.
-func (s *Snapshot) Config() Config { return s.cfg }
-
-// Restore warm-boots a fresh fleet from the snapshot. seed overrides
-// the captured seed when non-negative, so one snapshot serves a whole
-// seed sweep.
-func (s *Snapshot) Restore(cloudMu *sync.Mutex, seed int64) (*Result, error) {
-	cfg := s.cfg
-	if seed >= 0 {
-		cfg.Seed = seed
-	}
-	return assemble(cfg, cloudMu, s.plan)
 }

@@ -15,7 +15,7 @@ import (
 
 // WriteState writes the span-anchored flow accounting and link state in
 // a deterministic text form — one layer of the cross-layer fingerprint
-// behind core's Checkpoint/Resume. Links are listed in creation order
+// behind core.Cloud.KernelState. Links are listed in creation order
 // and skipped while pristine (up, unshaped, never carried a bit, no
 // flows), so megafleet captures scale with activity, not fabric size;
 // flows are listed in admission order, committed state only (the

@@ -14,12 +14,12 @@ package scenario
 //     contract on every small-catalog scenario, at multiple capture
 //     instants: (1) a run that is paused, checkpointed and continued is
 //     byte-identical to one that never was (capture is non-perturbing);
-//     (2) a run forked from the checkpoint — warm-booted construction,
-//     replayed prefix, verified cross-layer kernel fingerprint — ends
-//     with the byte-identical trace of run-from-start. Fork itself
-//     fails loudly if the replayed kernel state diverges from the
-//     capture, so this test also executes core.Checkpoint.Verify across
-//     clock, scheduler, netsim, SDN and energy state on every fork.
+//     (2) a run forked from the checkpoint — rebuilt through core.New,
+//     replayed prefix, checked Stamp — ends with the byte-identical
+//     trace of run-from-start. Fork itself fails loudly if the replayed
+//     run diverges from the capture, so this test also executes
+//     Stamp.Check across the trace and the clock, scheduler, netsim,
+//     SDN and energy state on every fork.
 //
 //   - TestBranchInjectSharesPrefix proves the branching primitive:
 //     divergent faults injected on two forks of one checkpoint produce
@@ -87,7 +87,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				}
 				requireIdentical(t, "straight vs checkpointed-and-continued", straight, continued)
 
-				// Fork from the checkpoint: warm-boot, replay, verify, finish.
+				// Fork from the checkpoint: build, replay, check, finish.
 				fork, err := chk.Fork()
 				if err != nil {
 					t.Fatalf("fork at %v: %v", at, err)
@@ -167,5 +167,45 @@ func TestBranchInjectSharesPrefix(t *testing.T) {
 	defer late.Cloud.Close()
 	if err := late.Inject(RackFail{Rack: 1, At: 10 * time.Second, Outage: time.Minute}); err == nil {
 		t.Fatal("Inject accepted an action before the fork offset")
+	}
+}
+
+// TestForksHaveDistinctImageRegistries: every fork builds its own
+// cloud from the spec, image registry included, so a publish on one
+// fork is invisible to its sibling and to the run it was forked from.
+func TestForksHaveDistinctImageRegistries(t *testing.T) {
+	spec, err := Catalog("rack-blackout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, chk, err := Branch(spec, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Cloud.Close()
+	a, err := chk.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Cloud.Close()
+	b, err := chk.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Cloud.Close()
+
+	regA, regB := a.Cloud.Master.Images(), b.Cloud.Master.Images()
+	if regA == regB || regA == base.Cloud.Master.Images() {
+		t.Fatal("forks share an image registry")
+	}
+	before := len(regB.List())
+	if _, err := regA.Spawn(regA.List()[0], "fork-a-only", "v1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(regB.List()); got != before {
+		t.Fatalf("publish on fork a changed fork b's registry: %d images, want %d", got, before)
+	}
+	if got := len(base.Cloud.Master.Images().List()); got != before {
+		t.Fatalf("publish on fork a changed the base run's registry: %d images, want %d", got, before)
 	}
 }

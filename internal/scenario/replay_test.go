@@ -1,6 +1,6 @@
 package scenario
 
-// ReplayRecipe is the durable store's recovery primitive: a cold build
+// ReplayRecipe is the durable store's recovery primitive: a build
 // plus a re-enacted injection history must land bit-identical to the
 // run it describes. These tests pin that contract — including the
 // same-offset rule that keeps a pending same-instant action pending —
@@ -55,14 +55,10 @@ func TestReplayRecipeReproducesInjectedHistory(t *testing.T) {
 	if rebuilt.Offset() != chk.At {
 		t.Fatalf("replay paused at %v, want %v", rebuilt.Offset(), chk.At)
 	}
-	// The caller-side verification the store's recovery performs: trace
+	// The caller-side check the store's recovery performs: offset, trace
 	// prefix and full cross-layer kernel fingerprint, byte for byte.
-	if got := DigestTrace(rebuilt.Trace()); len(rebuilt.Trace()) != chk.TraceLen || got != chk.TraceDigest {
-		t.Fatalf("replayed trace = %d events digest %s, checkpoint stamped %d, %s",
-			len(rebuilt.Trace()), got, chk.TraceLen, chk.TraceDigest)
-	}
-	if got, want := rebuilt.Cloud.KernelState().Digest, chk.Core.State().Digest; got != want {
-		t.Fatalf("replayed kernel digest %s, checkpoint stamped %s", got, want)
+	if err := chk.Check(rebuilt); err != nil {
+		t.Fatal(err)
 	}
 
 	// Both futures, run independently to the end, stay bit-identical.
@@ -99,8 +95,8 @@ func TestReplayRecipePendingSameOffsetAction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rebuilt.Cloud.Close()
-	if got := rebuilt.Cloud.KernelState().Digest; got != chk.Core.State().Digest {
-		t.Fatalf("pending action executed during replay: digest %s, want %s", got, chk.Core.State().Digest)
+	if got := rebuilt.Cloud.KernelState().Digest; got != chk.KernelDigest {
+		t.Fatalf("pending action executed during replay: digest %s, want %s", got, chk.KernelDigest)
 	}
 	if err := orig.RunTo(orig.Spec.Duration); err != nil {
 		t.Fatal(err)
@@ -119,5 +115,47 @@ func TestReplayRecipeRefusesOffsetPastDuration(t *testing.T) {
 		t.Fatal("recipe offset past the run duration accepted")
 	} else if !strings.Contains(err.Error(), "outside the run duration") {
 		t.Fatalf("unexpected refusal: %v", err)
+	}
+}
+
+// TestStampCheckCatchesEachMismatch: a stamp that differs from the run
+// in any one field fails Check with an error naming that field.
+func TestStampCheckCatchesEachMismatch(t *testing.T) {
+	r, err := New(replaySpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Cloud.Close()
+	if err := r.RunTo(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	good := r.Stamp()
+	if err := good.Check(r); err != nil {
+		t.Fatalf("run fails its own stamp: %v", err)
+	}
+	cases := []struct {
+		name   string
+		tamper func(*Stamp)
+		want   string
+	}{
+		{"offset", func(s *Stamp) { s.At += time.Second }, "offset mismatch"},
+		{"trace_len", func(s *Stamp) { s.TraceLen++ }, "trace mismatch"},
+		{"trace_digest", func(s *Stamp) { s.TraceDigest = "x" }, "trace mismatch"},
+		{"kernel_digest", func(s *Stamp) { s.KernelDigest = "x" }, "kernel digest mismatch"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := good
+			c.tamper(&s)
+			if err := s.Check(r); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Check = %v, want an error containing %q", err, c.want)
+			}
+		})
+	}
+	// The error text keeps the engine's counters.
+	bad := good
+	bad.KernelDigest = "x"
+	if err := bad.Check(r); !strings.Contains(err.Error(), "events scheduled") {
+		t.Fatalf("kernel mismatch error lacks the counters: %v", err)
 	}
 }

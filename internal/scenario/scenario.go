@@ -248,23 +248,7 @@ type Run struct {
 }
 
 // New builds the spec's cloud and installs the scenario on it.
-func New(spec Spec) (*Run, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	buildStart := time.Now()
-	cloud, err := core.New(spec.Cloud)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: building cloud: %w", spec.Name, err)
-	}
-	r, err := Install(cloud, spec)
-	if err != nil {
-		cloud.Close()
-		return nil, err
-	}
-	r.buildWall = time.Since(buildStart)
-	return r, nil
-}
+func New(spec Spec) (*Run, error) { return rebuild(spec, nil, 0, nil) }
 
 // Install attaches the scenario to an existing cloud: spawns the fleet,
 // starts traffic, and resolves the fault timeline. The caller must not be

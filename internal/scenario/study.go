@@ -1,8 +1,8 @@
 // The study catalog: checkpoint-powered experiments that run a scenario
-// *several ways* instead of once — the payoff of full-kernel
-// Snapshot/Restore. A study branches a base run at an instant, forks the
-// checkpoint into divergent futures (every fork's shared prefix is
-// byte-identity-verified against the captured kernel fingerprint), and
+// *several ways* instead of once — the payoff of checkpoints. A study
+// branches a base run at an instant, forks the checkpoint into
+// divergent futures (every fork's shared prefix is checked against the
+// captured Stamp), and
 // reports a deterministic comparison. Two ship alongside the scenario
 // catalog:
 //
@@ -168,7 +168,7 @@ func runBisectBlackout() (*StudyReport, error) {
 	rep.Lines = append(rep.Lines,
 		fmt.Sprintf("baseline: %.0f transfers complete with no fault; SLO: ≥ %.1f (90%%)", cleanDone, slo))
 	rep.Lines = append(rep.Lines,
-		fmt.Sprintf("checkpoint: t=%v, kernel %s", chk.At, shortDigest(chk.Core.State().Digest)))
+		fmt.Sprintf("checkpoint: t=%v, kernel %s", chk.At, shortDigest(chk.KernelDigest)))
 
 	probes := 0
 	probe := func(at time.Duration) (bool, error) {
@@ -271,7 +271,7 @@ func runABTestFaults() (*StudyReport, error) {
 	defer base.Cloud.Close()
 	rep.Lines = append(rep.Lines,
 		fmt.Sprintf("checkpoint: t=%v after a shared prefix of %d trace events, kernel %s",
-			chk.At, chk.TraceLen, shortDigest(chk.Core.State().Digest)))
+			chk.At, chk.TraceLen, shortDigest(chk.KernelDigest)))
 
 	type arm struct {
 		name  string

@@ -309,7 +309,7 @@ func (c *Controller) RouteSynthHitsByTier() [numSynthTiers]uint64 { return c.syn
 
 // WriteState writes the control plane's simulated state in a
 // deterministic text form — one layer of the cross-layer kernel
-// fingerprint behind core's Checkpoint/Resume: the label bindings (the
+// fingerprint behind core.Cloud.KernelState: the label bindings (the
 // IP-less forwarding table, sorted by endpoint name), the reactive-rule
 // counters, and the route-cache epoch/occupancy statistics. Two
 // controllers that served the same admission history write the same

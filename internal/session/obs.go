@@ -113,7 +113,7 @@ func (s *Session) collect(e *obs.Emitter) {
 	lbl := obs.L("session", s.ID)
 	s.mu.Lock()
 	ks, valid := s.kstats, s.kstatsValid
-	off, durable := s.offset, s.durableOffset
+	off, durable := s.offset, s.durable.At
 	subs := len(s.subs)
 	s.mu.Unlock()
 	lag := off - durable

@@ -1,18 +1,18 @@
 // Crash recovery: rebuilding a manager's whole tenant population from
 // the durable store by verified replay.
 //
-// Recovery trusts nothing it cannot prove. Images rebuild cold from
-// their replay recipes and must reproduce the persisted fingerprint
-// (fleet shape key + cross-layer kernel digest) and trace digest
+// Recovery trusts nothing it cannot prove. Images rebuild from their
+// replay recipes and must reproduce the persisted scenario.Stamp
+// (offset, cross-layer kernel digest, trace length and digest)
 // byte-for-byte before they are registered. Sessions re-enact their
 // write-ahead journals — create, then every advance and inject at its
-// logged offset — and the rebuilt kernel's state digest, trace digest
-// and offset must match the journal's last durable stamp before the
-// session accepts traffic. Anything that fails verification (or whose
-// replay itself errors or panics) is quarantined: the journal moves to
-// the store's quarantine directory with the reason alongside, and the
-// session id answers 409 with that reason instead of silently serving
-// a kernel whose state cannot be vouched for.
+// logged offset — and the rebuilt run must reproduce the journal's last
+// durable stamp before the session accepts traffic. Anything that fails
+// verification (or whose replay itself errors or panics) is
+// quarantined: the journal moves to the store's quarantine directory
+// with the reason alongside, and the session id answers 409 with that
+// reason instead of silently serving a kernel whose state cannot be
+// vouched for.
 package session
 
 import (
@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -86,15 +85,15 @@ func (m *Manager) Recover(st *store.Store) (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// recoverImages rebuilds every persisted image by cold replay of its
-// recipe, verifying fingerprint and trace digest before registration.
-// Identical recipes rebuild once and share the checkpoint.
+// recoverImages rebuilds every persisted image by replay of its recipe,
+// checking its stamp before registration. Images with an identical
+// recipe and stamp rebuild once and share the checkpoint.
 func (m *Manager) recoverImages(st *store.Store, rep *RecoveryReport) error {
 	recs, err := st.Images()
 	if err != nil {
 		return fmt.Errorf("session: recover images: %w", err)
 	}
-	built := map[string]*scenario.Checkpoint{}
+	built := map[imageKey]*scenario.Checkpoint{}
 	for _, rec := range recs {
 		chk, shared, rerr := rebuildImage(rec, built)
 		if rerr != nil {
@@ -117,37 +116,38 @@ func (m *Manager) recoverImages(st *store.Store, rep *RecoveryReport) error {
 	return nil
 }
 
-// rebuildImage replays one image recipe (reusing an identical recipe's
-// checkpoint from this pass) and verifies the rebuild against the
-// persisted stamps. Panics during replay are turned into errors — a
+// imageKey identifies a verified image rebuild: the recipe's canonical
+// form and the stamp it reproduced.
+type imageKey struct {
+	recipe string
+	stamp  scenario.Stamp
+}
+
+// rebuildImage replays one image recipe (reusing this pass's rebuild of
+// an identical recipe and stamp) and checks the rebuild against the
+// persisted stamp. Panics during replay are turned into errors — a
 // poisonous recipe quarantines, it does not take recovery down.
-func rebuildImage(rec store.ImageRecord, built map[string]*scenario.Checkpoint) (chk *scenario.Checkpoint, shared bool, err error) {
+func rebuildImage(rec store.ImageRecord, built map[imageKey]*scenario.Checkpoint) (chk *scenario.Checkpoint, shared bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			chk, shared, err = nil, false, fmt.Errorf("rebuild panicked: %v", p)
 		}
 	}()
-	key := rec.Recipe.Key()
-	chk, shared = built[key], false
-	if chk == nil {
-		r, rerr := rec.Recipe.Rebuild()
-		if rerr != nil {
-			return nil, false, fmt.Errorf("rebuild: %v", rerr)
-		}
-		chk = r.Checkpoint()
-		r.Cloud.Close()
-		built[key] = chk
-	} else {
-		shared = true
+	key := imageKey{rec.Recipe.Key(), rec.Stamp}
+	if chk := built[key]; chk != nil {
+		return chk, true, nil
 	}
-	if fp := chk.Core.Fingerprint(); fp != rec.Fingerprint {
-		return nil, false, fmt.Errorf("fingerprint mismatch: rebuilt %s, persisted %s", fp, rec.Fingerprint)
+	r, err := rec.Recipe.Rebuild()
+	if err != nil {
+		return nil, false, fmt.Errorf("rebuild: %v", err)
 	}
-	if chk.TraceLen != rec.TraceLen || chk.TraceDigest != rec.TraceDigest {
-		return nil, false, fmt.Errorf("trace mismatch: rebuilt %d events digest %s, persisted %d, %s",
-			chk.TraceLen, chk.TraceDigest, rec.TraceLen, rec.TraceDigest)
+	defer r.Cloud.Close()
+	if err := rec.Stamp.Check(r); err != nil {
+		return nil, false, err
 	}
-	return chk, shared, nil
+	chk = r.Checkpoint()
+	built[key] = chk
+	return chk, false, nil
 }
 
 // recoverSessions re-enacts every journal: cleanly closed sessions are
@@ -231,7 +231,7 @@ func (m *Manager) recoverSession(st *store.Store, id string) (reason string, ret
 	for _, rec := range recs[1:] {
 		if err := replayRecord(r, rec); err != nil {
 			r.Cloud.Close()
-			return fmt.Sprintf("replay %s at %v: %v", rec.Op, time.Duration(rec.At), err), false
+			return fmt.Sprintf("replay %s at %v: %v", rec.Op, rec.At, err), false
 		}
 		if rec.KernelDigest != "" {
 			last = rec
@@ -239,7 +239,7 @@ func (m *Manager) recoverSession(st *store.Store, id string) (reason string, ret
 	}
 	// The whole durable history is re-enacted; now prove the rebuilt
 	// kernel IS the journaled one before it may serve traffic.
-	if err := verifyStamp(r, last); err != nil {
+	if err := last.Stamp.Check(r); err != nil {
 		r.Cloud.Close()
 		return err.Error(), false
 	}
@@ -251,9 +251,7 @@ func (m *Manager) recoverSession(st *store.Store, id string) (reason string, ret
 	cfg.id = id
 	cfg.state = StateRecovered
 	cfg.jr = jr
-	cfg.durableOffset = time.Duration(last.At)
-	cfg.lastTraceLen = last.TraceLen
-	cfg.lastTraceDigest = last.TraceDigest
+	cfg.durable = last.Stamp
 	if _, err := m.adopt(r, cfg); err != nil {
 		_ = jr.Close()
 		r.Cloud.Close()
@@ -263,18 +261,16 @@ func (m *Manager) recoverSession(st *store.Store, id string) (reason string, ret
 }
 
 // rebuildCreate turns a journal's create record back into a paused run:
-// a fork of the (already rebuilt and verified) base image, or a cold
-// replay of the embedded recipe (fresh specs and fork children).
+// a fork of the (already rebuilt and verified) base image, or a replay
+// of the embedded recipe (fresh specs and fork children). The journal's
+// last stamp — the create record's own when nothing followed it — is
+// checked once the whole history is re-enacted.
 func (m *Manager) rebuildCreate(rec store.Record) (*scenario.Run, adoptConfig, error) {
 	switch {
 	case rec.BaseImage != "":
 		img := m.Image(rec.BaseImage)
 		if img == nil {
 			return nil, adoptConfig{}, fmt.Errorf("base image %q not recovered", rec.BaseImage)
-		}
-		if img.rec.KernelDigest != rec.KernelDigest {
-			return nil, adoptConfig{}, fmt.Errorf("base image %q digest %s does not match the journaled %s",
-				rec.BaseImage, img.rec.KernelDigest, rec.KernelDigest)
 		}
 		r, err := img.chk.Fork()
 		if err != nil {
@@ -295,20 +291,20 @@ func (m *Manager) rebuildCreate(rec store.Record) (*scenario.Run, adoptConfig, e
 // replayRecord re-enacts one journaled command on the rebuilt run.
 // Checkpoint and fork records change no session state (images persist
 // separately; children journal their own history) — only their stamps
-// matter, and verifyStamp checks the final one.
+// matter, and recovery checks the final one.
 func replayRecord(r *scenario.Run, rec store.Record) error {
 	switch rec.Op {
 	case "advance":
-		if at := time.Duration(rec.At); r.Offset() < at {
-			return r.RunTo(at)
+		if r.Offset() < rec.At {
+			return r.RunTo(rec.At)
 		}
 		return nil
 	case "inject":
 		if rec.Fault == nil {
 			return fmt.Errorf("inject record carries no fault")
 		}
-		if at := time.Duration(rec.At); r.Offset() < at {
-			if err := r.RunTo(at); err != nil {
+		if r.Offset() < rec.At {
+			if err := r.RunTo(rec.At); err != nil {
 				return err
 			}
 		}
@@ -322,22 +318,4 @@ func replayRecord(r *scenario.Run, rec store.Record) error {
 	default:
 		return fmt.Errorf("unknown journal op %q", rec.Op)
 	}
-}
-
-// verifyStamp proves the rebuilt kernel byte-identical to the journal's
-// last durable stamp: timeline offset, trace length and digest, and the
-// cross-layer kernel state digest must all match.
-func verifyStamp(r *scenario.Run, last store.Record) error {
-	if at := time.Duration(last.At); r.Offset() != at {
-		return fmt.Errorf("offset mismatch: replayed to %v, journal stamped %v", r.Offset(), at)
-	}
-	trace := r.Trace()
-	if got := scenario.DigestTrace(trace); len(trace) != last.TraceLen || got != last.TraceDigest {
-		return fmt.Errorf("trace mismatch: replayed %d events digest %s, journal stamped %d, %s",
-			len(trace), got, last.TraceLen, last.TraceDigest)
-	}
-	if st := r.Cloud.KernelState(); st.Digest != last.KernelDigest {
-		return fmt.Errorf("kernel digest mismatch: replayed %s, journal stamped %s", st.Digest, last.KernelDigest)
-	}
-	return nil
 }

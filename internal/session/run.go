@@ -18,9 +18,9 @@
 //
 // Durability rides the same discipline. When the manager has a store,
 // every state-changing command appends a write-ahead record — fsynced
-// before the command replies — stamped with the timeline offset and
-// the kernel state digest at that paused instant, so recovery can
-// re-enact the journal and *prove* the rebuilt kernel byte-identical.
+// before the command replies — carrying the scenario.Stamp of that
+// paused instant, so recovery can re-enact the journal and *prove* the
+// rebuilt kernel byte-identical.
 // And because the kernel goroutine is the only one touching the run,
 // it is also the failure domain: a panic anywhere in the kernel is
 // recovered here, the session transitions to StateFailed with the
@@ -132,12 +132,11 @@ type Session struct {
 	closed   bool
 	state    string
 	failure  string
-	// durableOffset trails offset by the work since the last journal
-	// record — the "journal lag" health surfaces (always 0 at a paused
-	// instant; mid-advance it is the un-journaled progress).
-	durableOffset   time.Duration
-	lastTraceLen    int
-	lastTraceDigest string
+	// durable is the stamp of the last journal record: its offset trails
+	// offset by the work since — the "journal lag" health surfaces
+	// (always 0 at a paused instant; mid-advance it is the un-journaled
+	// progress) — and its trace figures are what StatusLocal reports.
+	durable scenario.Stamp
 	// kstats is the kernel-stats snapshot taken at the last paused
 	// instant (adopt, then every advance slice boundary). HTTP-side
 	// scrapes read this cache; they never touch the kernel itself, so a
@@ -367,7 +366,7 @@ func (s *Session) Inject(f scenario.Fault) error {
 		if err := r.Inject(f); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
-		if err := s.journal(r, store.Record{Op: "inject", At: int64(r.Offset()), Fault: wire}); err != nil {
+		if err := s.journal(r, store.Record{Op: "inject", Fault: wire}); err != nil {
 			return nil, err
 		}
 		s.injects.Inc()
@@ -385,13 +384,7 @@ func (s *Session) Inject(f scenario.Fault) error {
 func (s *Session) Checkpoint(image string) (CheckpointInfo, error) {
 	v, err := s.do(func(r *scenario.Run) (any, error) {
 		chk := r.Checkpoint()
-		info := CheckpointInfo{
-			At:           chk.At,
-			Fingerprint:  chk.Core.Fingerprint(),
-			KernelDigest: chk.Core.State().Digest,
-			TraceLen:     chk.TraceLen,
-			TraceDigest:  chk.TraceDigest,
-		}
+		info := CheckpointInfo{Stamp: chk.Stamp, Fingerprint: chk.Fingerprint()}
 		if image != "" {
 			recipe, err := s.recipeFor(chk)
 			if err != nil {
@@ -402,9 +395,7 @@ func (s *Session) Checkpoint(image string) (CheckpointInfo, error) {
 			}
 			info.Image = image
 		}
-		rec := store.Record{Op: "checkpoint", At: int64(chk.At), Image: image,
-			KernelDigest: info.KernelDigest, TraceLen: chk.TraceLen, TraceDigest: chk.TraceDigest}
-		if err := s.journalStamped(rec); err != nil {
+		if err := s.journalStamped(store.Record{Op: "checkpoint", Stamp: chk.Stamp, Image: image}); err != nil {
 			return nil, err
 		}
 		s.checkpoints.Inc()
@@ -440,8 +431,8 @@ func (s *Session) recipeFor(chk *scenario.Checkpoint) (store.Recipe, error) {
 
 // Fork captures the session at its current offset and starts an
 // independent sibling session from the capture: shared byte-identical
-// prefix (verified on fork), divergent future. The capture happens
-// through the mailbox; the sibling's warm boot and replay run on the
+// prefix (checked on fork), divergent future. The capture happens
+// through the mailbox; the sibling's build and replay run on the
 // caller's goroutine so a fork never stalls the source session.
 func (s *Session) Fork() (*Session, error) {
 	v, err := s.do(func(r *scenario.Run) (any, error) {
@@ -461,12 +452,10 @@ func (s *Session) Fork() (*Session, error) {
 	}
 	s.forks.Inc()
 	s.mgr.sessionForks.Inc()
-	st := chk.Core.State()
 	child, err := s.mgr.adopt(r, adoptConfig{
 		baseImage: s.BaseImage,
 		rootReq:   s.rootReq,
-		create: &store.Record{Op: "create", At: int64(chk.At), Recipe: &recipe,
-			KernelDigest: st.Digest, TraceLen: chk.TraceLen, TraceDigest: chk.TraceDigest},
+		create:    &store.Record{Op: "create", Stamp: chk.Stamp, Recipe: &recipe},
 	})
 	if err != nil {
 		r.Cloud.Close()
@@ -475,8 +464,7 @@ func (s *Session) Fork() (*Session, error) {
 	// The parent's fork record is informational (the child journals its
 	// own history); it rides the caller's goroutine, so it may interleave
 	// with the parent's next command — harmless, replay ignores it.
-	_ = s.journal(nil, store.Record{Op: "fork", At: int64(chk.At), Child: child.ID,
-		KernelDigest: st.Digest, TraceLen: chk.TraceLen, TraceDigest: chk.TraceDigest})
+	_ = s.journal(nil, store.Record{Op: "fork", Stamp: chk.Stamp, Child: child.ID})
 	s.emit(Event{Type: "lifecycle", Offset: int64(chk.At), Kind: "forked", Detail: child.ID})
 	return child, nil
 }
@@ -532,8 +520,8 @@ func (s *Session) StatusLocal() Status {
 		Offset:      s.offset,
 		Duration:    s.duration,
 		Finished:    s.offset >= s.duration,
-		TraceLen:    s.lastTraceLen,
-		TraceDigest: s.lastTraceDigest,
+		TraceLen:    s.durable.TraceLen,
+		TraceDigest: s.durable.TraceDigest,
 	}
 }
 
@@ -603,9 +591,9 @@ func (s *Session) markFailed(reason string, stack []byte) {
 	s.emit(Event{Type: "lifecycle", Offset: int64(off), Kind: "failed", Detail: detail})
 }
 
-// journal appends one write-ahead record, stamping it with the kernel
-// digest and trace fingerprint at this paused instant when r is given
-// (records built from a checkpoint pass nil and stamp themselves).
+// journal appends one write-ahead record, stamping it with the run's
+// Stamp at this paused instant when r is given (records built from a
+// checkpoint pass nil and carry the checkpoint's stamp).
 // A journal append that fails poisons the session: durability can no
 // longer be promised, so the kernel stops taking state-changing
 // commands rather than silently diverging from its journal.
@@ -614,17 +602,12 @@ func (s *Session) journal(r *scenario.Run, rec store.Record) error {
 		return nil
 	}
 	if r != nil {
-		st := r.Cloud.KernelState()
-		trace := r.Trace()
-		rec.KernelDigest = st.Digest
-		rec.TraceLen = len(trace)
-		rec.TraceDigest = scenario.DigestTrace(trace)
+		rec.Stamp = r.Stamp()
 	}
 	return s.journalStamped(rec)
 }
 
-// journalStamped appends a record whose digest stamps are already
-// filled in.
+// journalStamped appends a record whose stamp is already filled in.
 func (s *Session) journalStamped(rec store.Record) error {
 	if s.jr == nil {
 		return nil
@@ -639,10 +622,10 @@ func (s *Session) journalStamped(rec store.Record) error {
 		return &FailedError{ID: s.ID, Reason: err.Error()}
 	}
 	s.mu.Lock()
-	s.durableOffset = time.Duration(rec.At)
 	if rec.TraceDigest != "" {
-		s.lastTraceLen = rec.TraceLen
-		s.lastTraceDigest = rec.TraceDigest
+		s.durable = rec.Stamp
+	} else {
+		s.durable.At = rec.At
 	}
 	s.mu.Unlock()
 	s.mgr.journalRecords.Inc()
@@ -651,7 +634,7 @@ func (s *Session) journalStamped(rec store.Record) error {
 
 // journalAdvance records the offset the kernel actually reached.
 func (s *Session) journalAdvance(r *scenario.Run) error {
-	return s.journal(r, store.Record{Op: "advance", At: int64(r.Offset())})
+	return s.journal(r, store.Record{Op: "advance"})
 }
 
 // journalClose writes the terminal record and retires the journal file
@@ -660,7 +643,7 @@ func (s *Session) journalClose() {
 	if s.jr == nil {
 		return
 	}
-	_ = s.jr.Append(store.Record{Op: "close", At: int64(s.Offset())})
+	_ = s.jr.Append(store.Record{Op: "close", Stamp: scenario.Stamp{At: s.Offset()}})
 	_ = s.jr.Close()
 	if s.mgr.st != nil {
 		_ = s.mgr.st.RemoveJournal(s.ID)
@@ -672,7 +655,7 @@ func (s *Session) journalClose() {
 func (s *Session) DurableOffset() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.durableOffset
+	return s.durable.At
 }
 
 // Close stops the kernel goroutine, releases the cloud and unlinks the

@@ -17,18 +17,20 @@
 //
 // Base images are registered twice over: by caller-chosen name and by
 // fingerprint (fleet shape key + cross-layer kernel state digest, see
-// core.Checkpoint.Fingerprint), so two images that capture identical
-// simulated machines share one checkpoint instead of holding two.
+// scenario.Checkpoint.Fingerprint), so two images that capture
+// identical simulated machines share one checkpoint instead of holding
+// two.
 //
 // With a store attached (Manager.Recover), the manager is crash-safe:
 // images persist as replay recipes, sessions journal every
 // state-changing command write-ahead, and a restarted manager rebuilds
 // the whole tenant population by re-enacting the durable history —
-// accepting each recovered kernel only after its state digest matches
-// the journaled fingerprint bit for bit.
+// accepting each recovered kernel only after it reproduces the
+// journaled scenario.Stamp bit for bit.
 package session
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -77,12 +79,22 @@ type Status struct {
 
 // CheckpointInfo is the wire summary of a captured checkpoint.
 type CheckpointInfo struct {
-	At           time.Duration `json:"at_ns"`
-	Fingerprint  string        `json:"fingerprint"`
-	KernelDigest string        `json:"kernel_digest"`
-	TraceLen     int           `json:"trace_len"`
-	TraceDigest  string        `json:"trace_digest"`
-	Image        string        `json:"image,omitempty"`
+	scenario.Stamp
+	Fingerprint string `json:"fingerprint"`
+	Image       string `json:"image,omitempty"`
+}
+
+// MarshalJSON keeps the response's field order: the fingerprint sits
+// between the offset and the digests.
+func (c CheckpointInfo) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		At           time.Duration `json:"at_ns"`
+		Fingerprint  string        `json:"fingerprint"`
+		KernelDigest string        `json:"kernel_digest"`
+		TraceLen     int           `json:"trace_len"`
+		TraceDigest  string        `json:"trace_digest"`
+		Image        string        `json:"image,omitempty"`
+	}{c.At, c.Fingerprint, c.KernelDigest, c.TraceLen, c.TraceDigest, c.Image})
 }
 
 // BaseImage is a named, shareable restore point: the resolved spec
@@ -96,9 +108,9 @@ type BaseImage struct {
 	// Forks counts sessions started from this image.
 	forks int
 	chk   *scenario.Checkpoint
-	// rec is the image's durable form: the replay recipe plus the digest
-	// stamps a rebuild must reproduce. Always populated (persisting it is
-	// what needs a store; describing the image doesn't).
+	// rec is the image's durable form: the replay recipe plus the stamp
+	// a rebuild must reproduce. Always populated (persisting it is what
+	// needs a store; describing the image doesn't).
 	rec store.ImageRecord
 }
 
@@ -230,10 +242,10 @@ func (m *Manager) Drain() {
 }
 
 // CreateImage resolves the spec request, drives a fresh run to the
-// offset, captures a verified checkpoint and registers it under name.
-// If the captured state is fingerprint-identical to an existing image,
-// the new name shares the existing checkpoint (and its warm plan)
-// instead of keeping a second copy. With a store attached the image
+// offset, captures a checkpoint and registers it under name. If the
+// captured state is fingerprint-identical to an existing image, the
+// new name shares the existing checkpoint instead of keeping a second
+// copy. With a store attached the image
 // also persists as a replay recipe the next daemon lifetime rebuilds.
 func (m *Manager) CreateImage(name string, req cliconfig.SpecRequest, at time.Duration) (*BaseImage, error) {
 	if name == "" {
@@ -257,7 +269,7 @@ func (m *Manager) CreateImage(name string, req cliconfig.SpecRequest, at time.Du
 		return nil, fmt.Errorf("session: image %q: %w", name, err)
 	}
 	// The builder run only existed to reach the offset; the checkpoint
-	// carries the construction snapshot and replay recipe on its own.
+	// carries the replay recipe and stamp on its own.
 	r.Cloud.Close()
 	return m.registerImage(name, chk, store.Recipe{Spec: req, At: int64(at)}, true)
 }
@@ -268,15 +280,8 @@ func (m *Manager) CreateImage(name string, req cliconfig.SpecRequest, at time.Du
 // (when one is attached) with rollback on failure, recovery registers
 // already-persisted images with persist=false.
 func (m *Manager) registerImage(name string, chk *scenario.Checkpoint, recipe store.Recipe, persist bool) (*BaseImage, error) {
-	fp := chk.Core.Fingerprint()
-	rec := store.ImageRecord{
-		Name:         name,
-		Recipe:       recipe,
-		Fingerprint:  fp,
-		KernelDigest: chk.Core.State().Digest,
-		TraceLen:     chk.TraceLen,
-		TraceDigest:  chk.TraceDigest,
-	}
+	fp := chk.Fingerprint()
+	rec := store.ImageRecord{Name: name, Recipe: recipe, Fingerprint: fp, Stamp: chk.Stamp}
 	m.mu.Lock()
 	if _, dup := m.images[name]; dup {
 		m.mu.Unlock()
@@ -335,8 +340,8 @@ func (m *Manager) Images() []*BaseImage {
 }
 
 // CreateSession builds a live session: from the named base image when
-// baseImage is non-empty (warm fork, shared prefix verified
-// byte-identical), otherwise fresh from the spec request at offset
+// baseImage is non-empty (a fork whose shared prefix is checked against
+// the image's stamp), otherwise fresh from the spec request at offset
 // zero.
 func (m *Manager) CreateSession(baseImage string, req *cliconfig.SpecRequest) (*Session, error) {
 	if m.isDraining() {
@@ -363,9 +368,8 @@ func (m *Manager) CreateSession(baseImage string, req *cliconfig.SpecRequest) (*
 			baseImage: baseImage,
 			rootReq:   img.rec.Recipe.Spec,
 			// The create record names the image; recovery re-forks it and
-			// verifies against the image's own stamps.
-			create: &store.Record{Op: "create", At: int64(img.At), BaseImage: baseImage,
-				KernelDigest: img.rec.KernelDigest, TraceLen: img.rec.TraceLen, TraceDigest: img.rec.TraceDigest},
+			// checks the image's own stamp.
+			create: &store.Record{Op: "create", Stamp: img.rec.Stamp, BaseImage: baseImage},
 		}
 	case req != nil:
 		spec, rerr := req.Resolve()
@@ -376,12 +380,9 @@ func (m *Manager) CreateSession(baseImage string, req *cliconfig.SpecRequest) (*
 		if err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
-		st := r.Cloud.KernelState()
-		trace := r.Trace()
 		cfg = adoptConfig{
 			rootReq: *req,
-			create: &store.Record{Op: "create", At: 0, Recipe: &store.Recipe{Spec: *req},
-				KernelDigest: st.Digest, TraceLen: len(trace), TraceDigest: scenario.DigestTrace(trace)},
+			create:  &store.Record{Op: "create", Stamp: r.Stamp(), Recipe: &store.Recipe{Spec: *req}},
 		}
 	default:
 		return nil, fmt.Errorf("session: need a base image or a spec")
@@ -399,15 +400,13 @@ func (m *Manager) CreateSession(baseImage string, req *cliconfig.SpecRequest) (*
 // recovery passes the already-open journal, the recovered id and the
 // durable bookkeeping to resume from.
 type adoptConfig struct {
-	id              string // "" = allocate the next s-%04d
-	baseImage       string
-	rootReq         cliconfig.SpecRequest
-	state           string // "" = StateRunning
-	jr              *store.Journal
-	create          *store.Record
-	durableOffset   time.Duration
-	lastTraceLen    int
-	lastTraceDigest string
+	id        string // "" = allocate the next s-%04d
+	baseImage string
+	rootReq   cliconfig.SpecRequest
+	state     string // "" = StateRunning
+	jr        *store.Journal
+	create    *store.Record
+	durable   scenario.Stamp
 }
 
 // adopt wraps a freshly built (or forked, or recovered) run in a
@@ -428,8 +427,7 @@ func (m *Manager) adopt(r *scenario.Run, cfg adoptConfig) (*Session, error) {
 	}
 	st := m.st
 	m.mu.Unlock()
-	jr := cfg.jr
-	durOff, traceLen, traceDigest := cfg.durableOffset, cfg.lastTraceLen, cfg.lastTraceDigest
+	jr, durable := cfg.jr, cfg.durable
 	if jr == nil && st != nil && cfg.create != nil {
 		var err error
 		jr, err = st.CreateJournal(id)
@@ -444,32 +442,29 @@ func (m *Manager) adopt(r *scenario.Run, cfg adoptConfig) (*Session, error) {
 			return nil, fmt.Errorf("session %s: journal: %w", id, err)
 		}
 		m.journalRecords.Inc()
-		durOff = time.Duration(cfg.create.At)
-		traceLen, traceDigest = cfg.create.TraceLen, cfg.create.TraceDigest
+		durable = cfg.create.Stamp
 	}
 	state := cfg.state
 	if state == "" {
 		state = StateRunning
 	}
 	s := &Session{
-		ID:              id,
-		Scenario:        r.Spec.Name,
-		BaseImage:       cfg.baseImage,
-		mgr:             m,
-		rootReq:         cfg.rootReq,
-		jr:              jr,
-		cmds:            make(chan sessCmd, 16),
-		done:            make(chan struct{}),
-		drainCh:         m.drainCh,
-		subs:            map[chan Event]struct{}{},
-		offset:          r.Offset(),
-		duration:        r.Spec.Duration,
-		state:           state,
-		durableOffset:   durOff,
-		lastTraceLen:    traceLen,
-		lastTraceDigest: traceDigest,
-		sliceHist:       m.obs.Histogram("pisim_session_advance_slice_seconds", obs.DefBuckets, obs.L("session", id)),
-		journalHist:     m.obs.Histogram("pisim_journal_append_seconds", obs.DefBuckets, obs.L("session", id)),
+		ID:          id,
+		Scenario:    r.Spec.Name,
+		BaseImage:   cfg.baseImage,
+		mgr:         m,
+		rootReq:     cfg.rootReq,
+		jr:          jr,
+		cmds:        make(chan sessCmd, 16),
+		done:        make(chan struct{}),
+		drainCh:     m.drainCh,
+		subs:        map[chan Event]struct{}{},
+		offset:      r.Offset(),
+		duration:    r.Spec.Duration,
+		state:       state,
+		durable:     durable,
+		sliceHist:   m.obs.Histogram("pisim_session_advance_slice_seconds", obs.DefBuckets, obs.L("session", id)),
+		journalHist: m.obs.Histogram("pisim_journal_append_seconds", obs.DefBuckets, obs.L("session", id)),
 	}
 	if tr := m.Tracer(); tr != nil {
 		r.SetTracer(tr)

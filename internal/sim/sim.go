@@ -322,7 +322,7 @@ func (e *Engine) PendingEvents() []PendingEvent {
 // WriteState writes the engine's explicit time state — clock, sequence
 // counter, fired count and the (time, sequence) identity of every live
 // pending event — in a deterministic text form. It is one layer of the
-// cross-layer kernel fingerprint behind core's Checkpoint/Resume: two
+// cross-layer kernel fingerprint behind core.Cloud.KernelState: two
 // engines that executed the same event history write the same bytes.
 func (e *Engine) WriteState(w io.Writer) {
 	fmt.Fprintf(w, "sim now=%d seq=%d fired=%d\n", int64(e.now), e.seq, e.fired)

@@ -13,6 +13,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/scenario"
 )
 
 // FuzzReadJournal: reading arbitrary journal bytes never panics; a
@@ -23,7 +26,7 @@ import (
 func FuzzReadJournal(f *testing.F) {
 	// An over-long line: one record far beyond a line scanner's default
 	// buffer, followed by a torn copy of itself.
-	long, err := json.Marshal(Record{Op: "advance", KernelDigest: strings.Repeat("d", 70_000)})
+	long, err := json.Marshal(Record{Op: "advance", Stamp: scenario.Stamp{KernelDigest: strings.Repeat("d", 70_000)}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func FuzzReadJournal(f *testing.F) {
 			if err != nil {
 				t.Fatalf("reopening a readable journal: %v", err)
 			}
-			probe := Record{Op: "close", At: 1}
+			probe := Record{Op: "close", Stamp: scenario.Stamp{At: 1}}
 			if err := jr.Append(probe); err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +67,7 @@ func FuzzReadJournal(f *testing.F) {
 		var body []byte
 		var want []Record
 		for i := 0; i < int(n%8); i++ {
-			rec := Record{Op: "advance", At: int64(i), TraceLen: len(data)}
+			rec := Record{Op: "advance", Stamp: scenario.Stamp{At: time.Duration(i), TraceLen: len(data)}}
 			line, err := json.Marshal(rec)
 			if err != nil {
 				t.Fatal(err)

@@ -6,16 +6,16 @@
 // durable offset.
 //
 // Nothing here serialises simulated state. The kernel is deterministic
-// and byte-identity-verified (core.Resume, scenario.Checkpoint.Fork),
-// so the durable form of a simulated machine is its *recipe*: the wire
-// spec (cliconfig.SpecRequest — the same vocabulary checkpoint files
-// and POST bodies speak), the injection history in wire form, and the
+// and every rebuild is checked against a scenario.Stamp, so the durable
+// form of a simulated machine is its *recipe*: the wire spec
+// (cliconfig.SpecRequest — the same vocabulary checkpoint files and
+// POST bodies speak), the injection history in wire form, and the
 // timeline offset. Recovery is therefore a verified replay, not a
-// best-effort reload: every journal record is stamped with the kernel
-// state digest at the instant it became durable, and the session layer
-// refuses any rebuilt kernel whose digest does not reproduce the
-// journaled one (quarantining the journal for post-mortem instead of
-// serving corrupt state).
+// best-effort reload: every journal record carries the Stamp (offset,
+// kernel state digest, trace length and digest) of the instant it
+// became durable, and the session layer refuses any rebuilt kernel that
+// does not reproduce the journaled stamp (quarantining the journal for
+// post-mortem instead of serving corrupt state).
 //
 // Layout under the data dir:
 //
@@ -63,9 +63,9 @@ type Recipe struct {
 	Injections []FaultRecord         `json:"injections,omitempty"`
 }
 
-// Rebuild cold-builds the recipe back into a paused run. The caller
-// must verify the rebuilt kernel against whatever fingerprint was
-// journaled next to the recipe before trusting it.
+// Rebuild builds the recipe back into a paused run. The caller must
+// Check the rebuilt run against the Stamp journaled next to the recipe
+// before trusting it.
 func (rc Recipe) Rebuild() (*scenario.Run, error) {
 	spec, err := rc.Spec.Resolve()
 	if err != nil {
@@ -98,9 +98,19 @@ func (rc Recipe) Key() string {
 	return string(data)
 }
 
-// ImageRecord is one persisted base image: the recipe plus the
-// fingerprints the rebuilt machine must reproduce.
+// ImageRecord is one persisted base image: the recipe, the image's
+// fingerprint, and the stamp the rebuilt machine must reproduce. The
+// stamp's offset is the recipe's.
 type ImageRecord struct {
+	Name string
+	Recipe
+	Fingerprint string
+	Stamp       scenario.Stamp
+}
+
+// imageFile is the image file layout: the recipe's at_ns is the only
+// offset on disk, and the stamp's digests follow the fingerprint.
+type imageFile struct {
 	Name string `json:"name"`
 	Recipe
 	Fingerprint  string `json:"fingerprint"`
@@ -109,18 +119,30 @@ type ImageRecord struct {
 	TraceDigest  string `json:"trace_digest"`
 }
 
+// MarshalJSON writes the image file layout.
+func (r ImageRecord) MarshalJSON() ([]byte, error) {
+	return json.Marshal(imageFile{r.Name, r.Recipe, r.Fingerprint, r.Stamp.KernelDigest, r.Stamp.TraceLen, r.Stamp.TraceDigest})
+}
+
+// UnmarshalJSON reads the image file layout.
+func (r *ImageRecord) UnmarshalJSON(data []byte) error {
+	var f imageFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return err
+	}
+	*r = ImageRecord{Name: f.Name, Recipe: f.Recipe, Fingerprint: f.Fingerprint, Stamp: scenario.Stamp{
+		At: time.Duration(f.At), KernelDigest: f.KernelDigest, TraceLen: f.TraceLen, TraceDigest: f.TraceDigest}}
+	return nil
+}
+
 // Record is one write-ahead journal entry. Every record carries the
 // offset it was journaled at and — for records written at a paused
-// kernel instant — the kernel state digest and trace fingerprint at
-// that instant; recovery replays the whole journal and verifies the
-// rebuilt kernel against the last stamped record.
+// kernel instant — the full Stamp of that instant; recovery replays the
+// whole journal and checks the rebuilt run against the last stamped
+// record.
 type Record struct {
 	Op string `json:"op"` // create, advance, inject, checkpoint, fork, close
-	At int64  `json:"at_ns"`
-
-	KernelDigest string `json:"kernel_digest,omitempty"`
-	TraceLen     int    `json:"trace_len,omitempty"`
-	TraceDigest  string `json:"trace_digest,omitempty"`
+	scenario.Stamp
 
 	// create: fork the named base image, or cold-rebuild the recipe.
 	BaseImage string  `json:"base_image,omitempty"`

@@ -42,9 +42,9 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := []Record{
-		{Op: "create", At: 0, Recipe: &Recipe{Spec: smallReq()}, KernelDigest: "d0", TraceLen: 3, TraceDigest: "t0"},
-		{Op: "advance", At: int64(20 * time.Second), KernelDigest: "d1", TraceLen: 9, TraceDigest: "t1"},
-		{Op: "inject", At: int64(20 * time.Second), KernelDigest: "d2", TraceLen: 10, TraceDigest: "t2",
+		{Op: "create", Stamp: scenario.Stamp{At: 0, KernelDigest: "d0", TraceLen: 3, TraceDigest: "t0"}, Recipe: &Recipe{Spec: smallReq()}},
+		{Op: "advance", Stamp: scenario.Stamp{At: 20 * time.Second, KernelDigest: "d1", TraceLen: 9, TraceDigest: "t1"}},
+		{Op: "inject", Stamp: scenario.Stamp{At: 20 * time.Second, KernelDigest: "d2", TraceLen: 10, TraceDigest: "t2"},
 			Fault: &cliconfig.FaultRequest{Kind: "rack-fail", Rack: 2, At: cliconfig.Duration(30 * time.Second)}},
 	}
 	for _, rec := range recs {
@@ -80,10 +80,10 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jr.Append(Record{Op: "create", At: 0}); err != nil {
+	if err := jr.Append(Record{Op: "create", Stamp: scenario.Stamp{At: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := jr.Append(Record{Op: "advance", At: int64(10 * time.Second)}); err != nil {
+	if err := jr.Append(Record{Op: "advance", Stamp: scenario.Stamp{At: 10 * time.Second}}); err != nil {
 		t.Fatal(err)
 	}
 	jr.Close()
@@ -114,7 +114,7 @@ func TestJournalTornTailThenRecoveryAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Record{{Op: "create", At: 0}, {Op: "advance", At: int64(10 * time.Second)}}
+	want := []Record{{Op: "create", Stamp: scenario.Stamp{At: 0}}, {Op: "advance", Stamp: scenario.Stamp{At: 10 * time.Second}}}
 	for _, rec := range want {
 		if err := jr.Append(rec); err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestJournalTornTailThenRecoveryAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := []Record{{Op: "advance", At: int64(20 * time.Second)}, {Op: "close", At: int64(20 * time.Second)}}
+	after := []Record{{Op: "advance", Stamp: scenario.Stamp{At: 20 * time.Second}}, {Op: "close", Stamp: scenario.Stamp{At: 20 * time.Second}}}
 	for _, rec := range after {
 		if err := jr.Append(rec); err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestQuarantineJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr.Append(Record{Op: "create", At: 0})
+	jr.Append(Record{Op: "create", Stamp: scenario.Stamp{At: 0}})
 	jr.Close()
 	if err := st.QuarantineJournal("s-0004", "kernel digest mismatch"); err != nil {
 		t.Fatal(err)
@@ -198,7 +198,8 @@ func TestImageRoundTripAndHostileNames(t *testing.T) {
 	rec := ImageRecord{
 		Name:        "base",
 		Recipe:      Recipe{Spec: smallReq(), At: int64(10 * time.Second)},
-		Fingerprint: "r4.h14.abc", KernelDigest: "abc", TraceLen: 5, TraceDigest: "def",
+		Fingerprint: "r4.h14.abc",
+		Stamp:       scenario.Stamp{At: 10 * time.Second, KernelDigest: "abc", TraceLen: 5, TraceDigest: "def"},
 	}
 	if err := st.SaveImage(rec); err != nil {
 		t.Fatal(err)

@@ -405,47 +405,63 @@ func BuildLeafSpine(net *netsim.Network, cfg LeafSpineConfig) (*Topology, error)
 
 // Validate checks structural invariants of the wired fabric: every host
 // has exactly one up link (to its edge switch), every node is reachable
-// from the first host, and racks partition the hosts.
+// from the first host over up links, and racks partition the hosts. It
+// walks dense node indices — one mark byte per node, adjacency by
+// LinksAt — so every build can afford it, 10⁵-host fabrics included.
 func Validate(t *Topology, net *netsim.Network) error {
 	if len(t.Hosts) == 0 {
 		return fmt.Errorf("topology: no hosts")
 	}
-	seen := make(map[netsim.NodeID]struct{})
+	const inRack, reached = 1, 2
+	mark := make([]uint8, net.NodeCount())
+	racked := 0
 	for _, rack := range t.Racks {
 		for _, h := range rack {
-			if _, dup := seen[h]; dup {
+			node := net.Node(h)
+			if node == nil {
+				return fmt.Errorf("topology: host %s has 0 links, want 1", h)
+			}
+			if mark[node.Index] != 0 {
 				return fmt.Errorf("topology: host %s in two racks", h)
 			}
-			seen[h] = struct{}{}
+			mark[node.Index] = inRack
+			racked++
 		}
 	}
-	if len(seen) != len(t.Hosts) {
-		return fmt.Errorf("topology: racks hold %d hosts, topology lists %d", len(seen), len(t.Hosts))
+	if racked != len(t.Hosts) {
+		return fmt.Errorf("topology: racks hold %d hosts, topology lists %d", racked, len(t.Hosts))
 	}
 	for _, h := range t.Hosts {
-		if _, ok := seen[h]; !ok {
+		node := net.Node(h)
+		if node == nil || mark[node.Index] != inRack {
 			return fmt.Errorf("topology: host %s not in any rack", h)
 		}
-		if got := len(net.Neighbors(h)); got != 1 {
-			return fmt.Errorf("topology: host %s has %d links, want 1", h, got)
+		up := 0
+		for _, l := range net.LinksAt(node.Index) {
+			if l.Up() {
+				up++
+			}
+		}
+		if up != 1 {
+			return fmt.Errorf("topology: host %s has %d links, want 1", h, up)
 		}
 	}
-	// BFS connectivity from the first host.
-	visited := map[netsim.NodeID]struct{}{t.Hosts[0]: {}}
-	queue := []netsim.NodeID{t.Hosts[0]}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range net.Neighbors(cur) {
-			if _, ok := visited[nb]; !ok {
-				visited[nb] = struct{}{}
-				queue = append(queue, nb)
+	// BFS over up links from the first host; the queue doubles as the
+	// visited list.
+	start := net.Node(t.Hosts[0]).Index
+	mark[start] |= reached
+	queue := append(make([]int32, 0, len(mark)), start)
+	for i := 0; i < len(queue); i++ {
+		for _, l := range net.LinksAt(queue[i]) {
+			if to := l.ToIndex(); l.Up() && mark[to]&reached == 0 {
+				mark[to] |= reached
+				queue = append(queue, to)
 			}
 		}
 	}
-	want := len(t.Hosts) + len(t.Switches())
-	if len(visited) != want {
-		return fmt.Errorf("topology: only %d of %d nodes reachable", len(visited), want)
+	want := len(t.Hosts) + len(t.Edge) + len(t.Agg) + len(t.Core)
+	if len(queue) != want {
+		return fmt.Errorf("topology: only %d of %d nodes reachable", len(queue), want)
 	}
 	return nil
 }

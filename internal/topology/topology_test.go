@@ -183,33 +183,59 @@ func TestLeafSpine(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesBrokenFabric hits every error branch of Validate,
+// each on a freshly wired paper fabric with one defect.
 func TestValidateCatchesBrokenFabric(t *testing.T) {
-	net := newNet()
-	topo, err := BuildMultiRoot(net, DefaultMultiRoot())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		mutate func(t *testing.T, topo *Topology, net *netsim.Network)
+		want   string
+	}{
+		{"no_hosts", func(t *testing.T, topo *Topology, net *netsim.Network) {
+			topo.Hosts = nil
+		}, "no hosts"},
+		{"host_unknown_to_network", func(t *testing.T, topo *Topology, net *netsim.Network) {
+			topo.Racks[0][0] = "ghost"
+		}, "host ghost has 0 links"},
+		{"duplicate_host", func(t *testing.T, topo *Topology, net *netsim.Network) {
+			topo.Racks[1] = append(topo.Racks[1], topo.Racks[0][0])
+		}, "in two racks"},
+		{"rack_count_differs", func(t *testing.T, topo *Topology, net *netsim.Network) {
+			topo.Racks[0] = topo.Racks[0][1:]
+		}, "racks hold 55 hosts, topology lists 56"},
+		{"host_in_no_rack", func(t *testing.T, topo *Topology, net *netsim.Network) {
+			topo.Racks[0][0] = topo.Edge[0]
+		}, "not in any rack"},
+		{"host_with_two_up_links", func(t *testing.T, topo *Topology, net *netsim.Network) {
+			if err := net.AddDuplexLink(topo.Racks[0][0], topo.Edge[1], DefaultHostLinkBps, DefaultLinkLatency); err != nil {
+				t.Fatal(err)
+			}
+		}, "has 2 links, want 1"},
+		{"partitioned_fabric", func(t *testing.T, topo *Topology, net *netsim.Network) {
+			// Disconnect a rack by cutting its ToR uplinks.
+			for _, agg := range topo.Agg {
+				if err := net.RemoveDuplexLink(topo.Edge[0], agg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, "nodes reachable"},
 	}
-	// Disconnect a rack by cutting its ToR uplinks.
-	for _, agg := range topo.Agg {
-		if err := net.RemoveDuplexLink(topo.Edge[0], agg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := Validate(topo, net); err == nil {
-		t.Fatal("Validate accepted a partitioned fabric")
-	}
-}
-
-func TestValidateCatchesInconsistentRacks(t *testing.T) {
-	net := newNet()
-	topo, err := BuildMultiRoot(net, DefaultMultiRoot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate a host into a second rack.
-	topo.Racks[1] = append(topo.Racks[1], topo.Racks[0][0])
-	if err := Validate(topo, net); err == nil {
-		t.Fatal("Validate accepted duplicated host")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			net := newNet()
+			topo, err := BuildMultiRoot(net, DefaultMultiRoot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Validate(topo, net); err != nil {
+				t.Fatalf("intact fabric rejected: %v", err)
+			}
+			c.mutate(t, topo, net)
+			err = Validate(topo, net)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate = %v, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }
 
